@@ -8,9 +8,10 @@ Standalone script (what CI runs in ``--smoke`` mode)::
 Three measurements:
 
 1. **Zero-cost identity** — one chain net (60 sinks in smoke, 150
-   full), both modes, all three engines, timed with and without a
-   power model.  The power-off runs must stay bit-identical between
-   reference and fast — the accumulator may cost nothing when absent.
+   full), both modes, both engines, timed with and without a power
+   model.  Power-off outcomes must carry exactly zero power and lishi's
+   must stay semantically equivalent to the reference's — the
+   accumulator may cost nothing when absent.
    The power-on factor per engine/mode is measured and *reported*,
    not gated: a power run keeps a per-count (slack, power) frontier
    where the power-off DP keeps one best slack, so it solves a
@@ -48,19 +49,14 @@ from repro.workloads import (
     generate_power_population,
 )
 
-from bench_engines import EIGHT_BUFFER_NAMES, chain_net
+from bench_engines import (
+    EIGHT_BUFFER_NAMES,
+    ENGINE_ORDER,
+    assert_semantically_equal,
+    chain_net,
+)
 
 MODES = ("delay", "buffopt")
-ENGINE_ORDER = ("reference", "fast", "lishi")
-
-
-def _signature(result):
-    return tuple(
-        (o.buffer_count, o.slack, o.noise_feasible, tuple(
-            sorted((i.node, i.buffer.name) for i in o.insertions)
-        ))
-        for o in result.outcomes
-    )
 
 
 def power_overhead(sinks: int, repeats: int):
@@ -106,10 +102,10 @@ def power_overhead(sinks: int, repeats: int):
                 "on_s": on_best,
                 "overhead": on_best / off_best - 1.0,
             }
-        assert _signature(off_results["reference"]) == \
-            _signature(off_results["fast"]), (
-                f"{mode}: power-off fast diverged from reference"
-            )
+        assert_semantically_equal(
+            off_results["reference"], off_results["lishi"],
+            f"{mode} [lishi, power-off]",
+        )
         timings[mode] = per_engine
     return timings
 

@@ -17,7 +17,7 @@ subcommands); this module is the consolidation seam on top of them:
 
       from repro.api import Session, SessionOptions
 
-      with Session(SessionOptions(mode="buffopt", engine="fast")) as s:
+      with Session(SessionOptions(mode="buffopt", engine="lishi")) as s:
           result = s.optimize(tree)
           print(result.describe())
 
@@ -186,9 +186,9 @@ class SessionOptions:
     #: resolved objective's mode, so downstream consumers (fingerprints,
     #: telemetry labels) keep reading a concrete string.
     mode: Optional[str] = None
-    #: DP implementation: ``"reference"``, ``"fast"`` (bit-identical),
-    #: ``"lishi"`` (O(bn²), equivalent within float tolerance), or
-    #: ``"auto"`` (pick fast/lishi per net by size).
+    #: DP implementation: ``"reference"`` (the readable spec) or
+    #: ``"lishi"`` (O(bn²), equivalent within float tolerance); the
+    #: retired names ``"fast"`` and ``"auto"`` run lishi.
     engine: str = "reference"
     #: Lillis count cap (``None`` = uncapped).
     max_buffers: Optional[int] = None

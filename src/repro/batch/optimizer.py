@@ -151,13 +151,11 @@ class BatchConfig:
     #: a structured ``CertificateError`` failure in the ``"certify"``
     #: phase instead of a silently wrong solution.
     certify: bool = False
-    #: DP implementation: ``"reference"``, ``"fast"`` (bit-identical
-    #: results; see :mod:`repro.core.fast_engine`), ``"lishi"``
-    #: (semantically equivalent within float tolerance; see
-    #: :mod:`repro.core.lishi_engine`), or ``"auto"`` (per-net pick).
-    #: Excluded from the checkpoint fingerprint — the ``"auto"``
-    #: resolution included, since it never reaches the options — so a
-    #: resumed batch may switch engines.
+    #: DP implementation: ``"reference"`` or ``"lishi"`` (semantically
+    #: equivalent within float tolerance; see
+    #: :mod:`repro.core.lishi_engine`); the retired names ``"fast"`` and
+    #: ``"auto"`` run lishi.  Excluded from the checkpoint fingerprint,
+    #: so a resumed batch may switch engines.
     engine: str = "reference"
     #: the structured optimization objective; ``None`` resolves the
     #: legacy ``mode`` (or, with neither given, the default buffopt

@@ -122,10 +122,9 @@ def _add_common_options(
     seed_default: int = 19981101,
     seed_help: str = "workload seed",
     engine_help: str = (
-        "DP implementation: the readable reference engine, the fast "
-        "engine (bit-identical results, ~2-3x faster), the lishi "
-        "engine (true O(bn^2); equivalent outcomes within float "
-        "tolerance), or auto (pick fast/lishi per net by size)"
+        "DP implementation: the readable reference engine or the "
+        "lishi engine (true O(bn^2); equivalent outcomes within float "
+        "tolerance); the retired names fast and auto run lishi"
     ),
 ) -> None:
     """The uniform trio every subcommand carries."""
@@ -409,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet = subparsers.add_parser(
         "fleet",
         help="coordinate a net fleet over shared buffer-site capacities "
-        "with Lagrangian prices (see docs/algorithms.md section 10)",
+        "with Lagrangian prices (see docs/algorithms.md section 9)",
     )
     fleet.add_argument("--nets", type=int, default=50, help="fleet size")
     fleet.add_argument(
@@ -542,12 +541,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--plant-bug", action="store_true",
         help="run against a deliberately broken engine (self-test: the "
         "campaign must fail and shrink the counterexample); with "
-        "--engine fast the bug is an over-pruning fast-engine rule the "
-        "oracle comparison must catch, with --engine lishi an "
-        "over-evicting timing prune only the differential/oracle legs "
-        "can see, and with a power-aware --objective a power "
-        "understatement only the certificate's independent power "
-        "re-derivation can see",
+        "--engine lishi the bug is an over-evicting timing prune only "
+        "the oracle comparison can see, and with a power-aware "
+        "--objective a power understatement only the certificate's "
+        "independent power re-derivation can see",
     )
     _add_objective_option(
         fuzz,
@@ -1172,7 +1169,6 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         FuzzConfig,
         engine_for,
         planted_buggy_engine,
-        planted_buggy_fast_engine,
         planted_buggy_lishi_engine,
         planted_buggy_power_engine,
         replay_file,
@@ -1193,11 +1189,11 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         if modes is not None and modes[0].endswith("-power"):
             engine = planted_buggy_power_engine()
         else:
-            planted = {
-                "fast": planted_buggy_fast_engine,
-                "lishi": planted_buggy_lishi_engine,
-            }
-            engine = planted.get(args.engine, planted_buggy_engine)()
+            engine = (
+                planted_buggy_lishi_engine()
+                if args.engine == "lishi"
+                else planted_buggy_engine()
+            )
     else:
         engine = engine_for(args.engine)
     if args.replay:

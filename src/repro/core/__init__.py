@@ -2,7 +2,6 @@
 
 from .budget import RunBudget
 from .dp import (
-    AUTO_LISHI_THRESHOLD,
     ENGINE_CHOICES,
     ENGINES,
     DPCandidate,
@@ -10,7 +9,6 @@ from .dp import (
     DPOutcome,
     DPResult,
     Insertion,
-    resolve_auto_engine,
     run_dp,
 )
 from .eco import (
@@ -97,8 +95,6 @@ __all__ = [
     "run_dp",
     "ENGINES",
     "ENGINE_CHOICES",
-    "AUTO_LISHI_THRESHOLD",
-    "resolve_auto_engine",
     "select_noise_buffer",
     "uniform_line_spacing",
     "uniform_wire_noise",

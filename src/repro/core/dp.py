@@ -90,21 +90,14 @@ class DPCandidate:
         return Chain.to_tuple(self.wire_chain)
 
 
-#: the concrete DP implementations, in the order they landed.
-ENGINES = ("reference", "fast", "lishi")
-#: everything :class:`DPOptions.engine` accepts — the concrete engines
-#: plus the per-net ``"auto"`` heuristic.
-ENGINE_CHOICES = ENGINES + ("auto",)
-
-#: ``engine="auto"`` switches from "fast" to "lishi" when sink count ×
-#: buffer-library size reaches this product.  Below it the frontier is
-#: small enough that the fast engine's lower constants (and its
-#: bit-identity to the reference) win; above it the lishi engine's
-#: O(1) wire updates and hull-walk buffering dominate.  Chosen from the
-#: bench_engines crossover: a 60-sink × 8-buffer smoke net (product
-#: 480) still favors "fast", the 500-sink × 8-buffer gate point
-#: (product 4000) favors "lishi" by well over 2x.
-AUTO_LISHI_THRESHOLD = 512
+#: the concrete DP implementations: the readable executable spec
+#: (this module) and the production engine (:mod:`repro.core.lishi_engine`).
+ENGINES = ("reference", "lishi")
+#: retired engine names, still accepted for one release so stored
+#: requests and journals that carry them keep running; both run lishi.
+_ENGINE_ALIASES = {"fast": "lishi", "auto": "lishi"}
+#: everything :class:`DPOptions.engine` accepts.
+ENGINE_CHOICES = ENGINES + tuple(_ENGINE_ALIASES)
 
 
 @dataclass(frozen=True)
@@ -117,13 +110,11 @@ class DPOptions:
     prune: str = "timing"  # "timing" (paper) or "pareto" (4-field ablation)
     enforce_polarity: bool = True
     #: which DP implementation runs the recurrence: ``"reference"`` (this
-    #: module, the readable dataclass-per-candidate engine), ``"fast"``
-    #: (:mod:`repro.core.fast_engine`, Li–Shi-style data layout with
-    #: bit-identical outcomes), ``"lishi"``
-    #: (:mod:`repro.core.lishi_engine`, the genuine O(bn²) algorithm —
-    #: semantically equivalent within float tolerance, *not*
-    #: bit-identical), or ``"auto"`` (:func:`resolve_auto_engine` picks
-    #: between "fast" and "lishi" per net by sink count × library size).
+    #: module, the readable dataclass-per-candidate engine) or
+    #: ``"lishi"`` (:mod:`repro.core.lishi_engine`, the genuine O(bn²)
+    #: algorithm — semantically equivalent within float tolerance, *not*
+    #: bit-identical).  The retired names ``"fast"`` and ``"auto"`` are
+    #: kept as-is here and run lishi.
     engine: str = "reference"
     #: enable Lillis-style simultaneous wire sizing with this width menu.
     sizing: Optional[WireSizingSpec] = None
@@ -146,8 +137,8 @@ class DPOptions:
     #: The engine restores whole unchanged subtrees from it and stores a
     #: snapshot at every node it does visit, making incremental re-runs
     #: after a local edit bit-identical to cold runs at a fraction of
-    #: the work.  Reference engine only: the fast and lishi engines use
-    #: incompatible internal frontier representations.
+    #: the work.  Reference engine only: the lishi engine uses an
+    #: incompatible internal frontier representation.
     frontier_cache: Optional[object] = None
     #: per-node Lagrangian buffer-site prices (node name -> nonnegative
     #: finite price, in slack units).  A buffer inserted at a priced node
@@ -160,8 +151,8 @@ class DPOptions:
     #: slack shifts, steering competition between buffering at different
     #: nodes.  ``None``/empty, or a price of exactly ``0.0``, takes the
     #: original arithmetic path bit-for-bit (``x - 0.0 == x`` in IEEE
-    #: round-to-nearest), so unpriced runs stay bit-identical across all
-    #: three engines.
+    #: round-to-nearest), so unpriced runs stay bit-identical on both
+    #: engines.
     #:
     #: Semantics caveat: penalties ride the *slack* recurrence, so a
     #: branch merge (min over children) absorbs penalties paid on the
@@ -182,7 +173,7 @@ class DPOptions:
     #: :meth:`DPResult.min_power` / :meth:`DPResult.power_capped` /
     #: :meth:`DPResult.pareto_outcomes` need.  ``None`` — the default —
     #: carries ``0.0`` through arithmetic that is bit-identical to the
-    #: pre-power engine on all three implementations (tested).
+    #: pre-power engine on both implementations (tested).
     #: Incompatible with ``sizing``: without sizing the wire power of a
     #: net is assignment-independent, which is what keeps the
     #: certificate re-derivation exact.
@@ -217,9 +208,9 @@ class DPOptions:
         if self.frontier_cache is not None:
             if self.engine != "reference":
                 raise ValueError(
-                    "frontier_cache requires engine='reference' (the fast "
-                    "and lishi engines cannot snapshot/restore reference "
-                    f"frontiers), got engine={self.engine!r}"
+                    "frontier_cache requires engine='reference' (the lishi "
+                    "engine cannot snapshot/restore reference frontiers), "
+                    f"got engine={self.engine!r}"
                 )
             if self.collect_stats:
                 raise ValueError(
@@ -1284,11 +1275,9 @@ def run_dp(
     ``coupling`` defaults to the silent model (all noise currents zero),
     which is the right setting for pure DelayOpt; ``driver`` defaults to
     ``tree.driver``.  ``options.engine`` selects the implementation:
-    ``"reference"`` (this module), ``"fast"``
-    (:mod:`repro.core.fast_engine`, bit-identical to the reference),
-    ``"lishi"`` (:mod:`repro.core.lishi_engine`, semantically equivalent
-    within float tolerance), or ``"auto"``
-    (:func:`resolve_auto_engine` picks "fast" or "lishi" per net).
+    ``"reference"`` (this module) or ``"lishi"``
+    (:mod:`repro.core.lishi_engine`, semantically equivalent within float
+    tolerance).  The retired names ``"fast"`` and ``"auto"`` run lishi.
     """
     options = options or DPOptions()
     coupling = coupling or CouplingModel.silent()
@@ -1298,14 +1287,7 @@ def run_dp(
                 f"tree {tree.name!r} has no driver cell; pass driver="
             )
         driver = tree.driver
-    engine_name = options.engine
-    if engine_name == "auto":
-        engine_name = resolve_auto_engine(tree, library)
-    if engine_name == "fast":
-        from .fast_engine import FastEngine
-
-        engine = FastEngine(tree, library, coupling, options, driver)
-    elif engine_name == "lishi":
+    if _ENGINE_ALIASES.get(options.engine, options.engine) == "lishi":
         from .lishi_engine import LiShiEngine
 
         engine = LiShiEngine(tree, library, coupling, options, driver)
@@ -1316,22 +1298,3 @@ def run_dp(
         # the whole branch (the no-overhead-when-off contract).
         options.profile.install(engine)
     return engine.run()
-
-
-def resolve_auto_engine(tree: RoutingTree, library: BufferLibrary) -> str:
-    """Resolve ``engine="auto"`` for one net: ``"fast"`` or ``"lishi"``.
-
-    The heuristic is the product *sink count × buffer-library size* —
-    the factors that size the per-node frontier and the per-node
-    buffering scan — against :data:`AUTO_LISHI_THRESHOLD`.  The
-    resolution is deliberately per-net state-free (no timing, no
-    feedback), so a batch run's checkpoint fingerprint stays independent
-    of it: resuming a journal under a different engine (or a different
-    auto resolution) is always legal, because every engine answers
-    semantically alike.
-    """
-    return (
-        "lishi"
-        if len(tree.sinks) * len(library) >= AUTO_LISHI_THRESHOLD
-        else "fast"
-    )

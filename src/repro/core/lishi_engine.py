@@ -1,11 +1,20 @@
 """The Li–Shi engine: the genuine O(bn²) recurrence (``engine="lishi"``).
 
-Where :mod:`repro.core.fast_engine` deliberately *rejected* the classic
-Li & Shi shortcuts to stay bit-identical to the reference engine, this
-module embraces them — and therefore trades bit-identity for *semantic*
-equivalence (same selected outcomes within float tolerance,
+This is the production engine; :mod:`repro.core.dp` stays the readable
+executable spec it is checked against.  It uses the classic Li & Shi
+shortcuts, and therefore trades bit-identity with the reference for
+*semantic* equivalence (same selected outcomes within float tolerance,
 certificate-clean, oracle-optimal; see ``tests/core/equivalence.py``
-and ``docs/algorithms.md`` §9):
+and ``docs/algorithms.md`` §8):
+
+* **flat tuple candidates** — ``(load, slack, current, noise_slack,
+  chain, wire_chain, power)`` replaces the frozen-dataclass record of
+  the reference engine, and solution chains are ``(payload, tail,
+  count)`` cons-cell tuples with the same O(1) push / shared-tail
+  semantics as :class:`~repro.core._chain.Chain`.  Building a flat
+  tuple is several times cheaper than a dataclass, and the DP builds
+  hundreds of thousands of them.  The power slot rides along as
+  ``0.0`` on power-off runs.
 
 * **lazy wire offsets** — a wire of resistance ``R``, capacitance ``Cw``
   and noise current ``Iw`` updates a whole frontier in O(1) by folding
@@ -18,7 +27,7 @@ and ``docs/algorithms.md`` §9):
 
   and the wire update is ``dq += R*(Cw/2 + dc); dns += R*(Iw/2 + di);
   r += R; dc += Cw; di += Iw``.  The offsets re-associate the float
-  sums, which is exactly the last-ulp drift the fast engine refused —
+  sums, which can drift in the last ulp from the reference —
   hence the tolerance-based equivalence contract.  Power-active runs
   (:attr:`~repro.core.dp.DPOptions.power`) add a sixth offset ``dpw``:
   wire power is uniform across a frontier, so it too folds in O(1)
@@ -37,9 +46,10 @@ and ``docs/algorithms.md`` §9):
   which fold into ``dc``/``di``), at the crossover one clamped
   candidate is materialized, and everything beyond it is dominated by
   the clamp and truncated.  One binary search, one new tuple, O(1)
-  offset updates — the dominated merge outputs the eager engines build
-  and then prune are never constructed at all (this is also why the
-  engine's ``candidates_generated`` runs far below the fast engine's).
+  offset updates — the dominated merge outputs the reference engine
+  builds and then prunes are never constructed at all (this is also
+  why the engine's ``candidates_generated`` runs far below the
+  reference's).
 
 * **range-search buffering on a wire-invariant hull** — the per-buffer
   argmax of ``q − R·C`` equals the argmax of ``q0 − (r + R)·C0`` in
@@ -64,12 +74,14 @@ their frontiers (so there is nothing to win) and makes eager eviction
 unsound (a (C, q)-dominated candidate may outlive its dominator when
 the next wire kills the dominator on noise) — and the
 ``prune="pareto"`` ablation and Lillis wire sizing fall back to
-materialized fast-engine-shaped passes.
+materialized, load-sorted passes whose timing prune is a single no-sort
+scan whenever the frontier arrives presorted (the
+``prune_presorted`` / ``prune_sorts`` telemetry).
 
-Candidate representation, chain cells, phase-method names
-(``_merge_children`` / ``_insert_buffers`` / ``_apply_wire`` /
-``_prune`` for :class:`~repro.obs.PhaseProfiler`), counters, budget
-charging and the visit loop all mirror the fast engine.
+Phase-method names (``_merge_children`` / ``_insert_buffers`` /
+``_apply_wire`` / ``_prune`` for :class:`~repro.obs.PhaseProfiler`),
+counters, budget charging and the visit loop mirror the reference
+engine.
 """
 
 from __future__ import annotations
@@ -86,13 +98,47 @@ from ..library.cells import DriverCell
 from ..noise.coupling import CouplingModel
 from ..tree.topology import Node, RoutingTree, Wire
 from .dp import DPOptions, DPOutcome, DPResult, Insertion
-from .fast_engine import _Cand, _chain_concat, _chain_payloads
 from .stats import EngineStats
 from .wire_sizing import WireChoice
+
+# A candidate is (load, slack, current, noise_slack, chain, wire_chain,
+# power); polarity and buffer count live on the group key / chain cell,
+# so the per-candidate record carries only what the arithmetic touches.
+_Cand = Tuple[
+    float, float, float, float, Optional[tuple], Optional[tuple], float
+]
 
 _INF = math.inf
 _LOAD = itemgetter(0)
 _Key = Tuple[int, int]
+
+
+def _chain_concat(left: Optional[tuple], right: Optional[tuple]) -> Optional[tuple]:
+    """Tuple-cell twin of :meth:`Chain.concat`: left's items pushed onto right."""
+    if left is None:
+        return right
+    items = []
+    node: Optional[tuple] = left
+    while node is not None:
+        items.append(node[0])
+        node = node[1]
+    out = right
+    count = out[2] if out is not None else 0
+    for item in reversed(items):
+        count += 1
+        out = (item, out, count)
+    return out
+
+
+def _chain_payloads(chain: Optional[tuple]) -> List[tuple]:
+    """Chain payloads in push order (twin of :meth:`Chain.to_tuple`)."""
+    items: List[tuple] = []
+    node = chain
+    while node is not None:
+        items.append(node[0])
+        node = node[1]
+    items.reverse()
+    return items
 
 
 class _Frontier:
@@ -138,11 +184,11 @@ class _Frontier:
 
 
 class LiShiEngine:
-    """Drop-in sibling of the reference/fast engines (``engine="lishi"``).
+    """Drop-in sibling of the reference engine (``engine="lishi"``).
 
     Construction, counters, telemetry and budget charging mirror
-    :class:`~repro.core.fast_engine.FastEngine`; results are
-    semantically equivalent, not bit-identical (module docstring).
+    :class:`~repro.core.dp._Engine`; results are semantically
+    equivalent, not bit-identical (module docstring).
     """
 
     def __init__(
@@ -167,8 +213,9 @@ class LiShiEngine:
         self.stats: Optional[EngineStats] = (
             EngineStats(engine="lishi") if options.collect_stats else None
         )
-        # (buffer, R, Cin, D, NM, inv) rows like the fast engine, plus the
-        # same rows sorted by descending resistance for the hull walk.
+        # (buffer, R, Cin, D, NM, inv) rows hoisted out of the buffering
+        # scans, plus the same rows sorted by descending resistance for
+        # the hull walk.
         self._buffers = [
             (
                 b,
@@ -878,8 +925,8 @@ class LiShiEngine:
     def _insert_buffers_scan(self, node: Node, frontier: _Frontier) -> None:
         """Noise/pareto buffering: materialized rows, filtered scans.
 
-        The fast engine's discipline with the offsets decoded into the
-        row extraction; Step 5's limit (the largest gate resistance a
+        Per-buffer scans over pre-extracted rows, with the offsets
+        decoded into the row extraction; Step 5's limit (the largest gate resistance a
         candidate tolerates, NS/I) filters exactly as in the reference.
         """
         options = self.options
@@ -1021,8 +1068,7 @@ class LiShiEngine:
             return
         # Lillis sizing forks each candidate per menu width — widths
         # differ per candidate afterwards, which a shared offset frame
-        # cannot express.  Materialize, then fork eagerly (fast-engine
-        # shape).
+        # cannot express.  Materialize, then fork eagerly.
         self._rebase(frontier)
         base_i = self.coupling.wire_current(wire)
         noise_aware = self.options.noise_aware

@@ -86,13 +86,13 @@ class EngineStats:
         (0 when no deadline).
     engine:
         Which DP engine produced this record (``"reference"`` or
-        ``"fast"``; ``"mixed"`` after aggregating across engines).
+        ``"lishi"``; ``"mixed"`` after aggregating across engines).
     prune_presorted:
         Timing-prune passes that found their frontier already
         ``(load, -slack)``-sorted and skipped the sort entirely — the
-        incremental-sorted-frontier fast path.  The reference and fast
-        engines report the same counter, so their pruning behaviour is
-        directly comparable.
+        incremental-sorted-frontier fast path.  Both engines report the
+        same counter, so their pruning behaviour is directly
+        comparable.
     prune_sorts:
         Timing-prune passes that had to fall back to a full sort.
     """

@@ -48,7 +48,8 @@ class Experiment:
     workload: WorkloadConfig
     max_segment_length: float
     #: DP implementation the table/figure builders run with
-    #: (``"reference"`` or ``"fast"`` — results are bit-identical).
+    #: (``"reference"`` or ``"lishi"`` — equivalent within float
+    #: tolerance).
     engine: str = "reference"
     _nets: Optional[List[GeneratedNet]] = field(default=None, repr=False)
 

@@ -235,10 +235,11 @@ def audit_fleet(
                         f"{state.priced_slack!r} — the recorded prices "
                         "are not the prices this net was optimized under"
                     )
-                # lishi/auto are only semantically equivalent — their
-                # re-run may legitimately pick a different argmax, so
-                # exact-assignment comparison is reference/fast only.
-                if batch.engine in ("reference", "fast"):
+                # lishi (and its aliases) is only semantically
+                # equivalent — its re-run may legitimately pick a
+                # different argmax, so exact-assignment comparison is
+                # reference-only.
+                if batch.engine == "reference":
                     fresh_assignment = {
                         node: buffer.name
                         for node, buffer in (fresh.assignment or {}).items()

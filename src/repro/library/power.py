@@ -19,7 +19,7 @@ buffer adds ``buffer_power(b) >= 0`` and every traversed wire adds
 ``wire_power(C) >= 0``, independent of where in the tree they sit.
 That is exactly what lets the DP carry a single accumulated power
 scalar per candidate and prune on (load, slack, power) dominance
-soundly — see ``docs/algorithms.md`` section 11.
+soundly — see ``docs/algorithms.md`` section 10.
 
 The driver cell and the sink input pins switch whether or not any
 buffer is inserted, so their (assignment-independent) power is excluded

@@ -1,7 +1,7 @@
 """Opt-in phase profiling of the DP engines.
 
 Both engines (:class:`repro.core.dp._Engine` and
-:class:`repro.core.fast_engine.FastEngine`) dispatch their per-node
+:class:`repro.core.lishi_engine.LiShiEngine`) dispatch their per-node
 phases through ``self._merge_children`` / ``self._insert_buffers`` /
 ``self._apply_wire`` / ``self._prune``, so a profiler can wrap the
 *instance* attributes — shadowing the class methods on one engine

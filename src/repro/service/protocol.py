@@ -154,8 +154,8 @@ class CanonicalRequest:
     so every field participates in :meth:`fingerprint`.  Unlike the
     batch checkpoint fingerprint, ``engine`` is *included*: the service
     cache stores final response payloads, and candidate telemetry in the
-    payload is engine-visible, so serving a ``"fast"`` result for a
-    ``"lishi"`` request would not be the lie-free cache the protocol
+    payload is engine-visible, so serving a ``"reference"`` result for
+    a ``"lishi"`` request would not be the lie-free cache the protocol
     promises.
     """
 

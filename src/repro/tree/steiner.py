@@ -3,8 +3,8 @@
 The paper assumes "the input routing tree topology is fixed or that a
 Steiner estimation has been computed for the given net" (Section II).  This
 module provides that estimation for the synthetic workload: a rectilinear
-minimum spanning tree over the terminals (Prim via :mod:`networkx`), rooted
-at the source, with every tree edge realized as an L-shaped route (one
+minimum spanning tree over the terminals (Kruskal via :mod:`networkx`),
+rooted at the source, with every tree edge realized as an L-shaped route (one
 corner node).  Branch nodes of degree > 2 are binarized with dummy nodes
 per the paper's footnote 1.
 
@@ -77,7 +77,10 @@ def steiner_tree(
     for i, u in enumerate(terminals):
         for v in terminals[i + 1:]:
             graph.add_edge(u, v, weight=manhattan(positions[u], positions[v]))
-    mst = nx.minimum_spanning_tree(graph, algorithm="prim")
+    # Kruskal stable-sorts the insertion-ordered edges, so ties, corner
+    # names and child order are the same in every interpreter; Prim
+    # starts from ``set(graph).pop()``, which depends on PYTHONHASHSEED.
+    mst = nx.minimum_spanning_tree(graph, algorithm="kruskal")
 
     builder = TreeBuilder(technology)
     builder.add_source("so", driver=driver, position=source_position)

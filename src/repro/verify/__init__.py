@@ -37,7 +37,6 @@ from .fuzz import (
     default_engine,
     engine_for,
     planted_buggy_engine,
-    planted_buggy_fast_engine,
     planted_buggy_lishi_engine,
     planted_buggy_power_engine,
     replay_file,
@@ -84,7 +83,6 @@ __all__ = [
     "default_engine",
     "engine_for",
     "planted_buggy_engine",
-    "planted_buggy_fast_engine",
     "planted_buggy_lishi_engine",
     "planted_buggy_power_engine",
     "replay_file",

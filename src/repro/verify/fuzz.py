@@ -149,61 +149,17 @@ def planted_buggy_power_engine(
     return engine
 
 
-def planted_buggy_fast_engine(min_sinks: int = 2) -> Engine:
-    """A fast engine with a deliberately broken pruning rule.
-
-    On trees with at least ``min_sinks`` sinks the timing prune keeps
-    only the min-load candidate of every group, discarding the rest of
-    the frontier.  Over-pruning is *self-consistent* — every surviving
-    candidate's claims are still correct, so the certificate passes —
-    which is exactly why the fuzzer needs the exhaustive oracle: only a
-    ground-truth comparison notices the optimum went missing.  The
-    self-test asserts the fuzz/shrink loop catches this.
-    """
-    from ..core.fast_engine import FastEngine
-
-    class _OverPruningFastEngine(FastEngine):
-        def _prune_timing(self, candidates):
-            kept = super()._prune_timing(candidates)
-            return kept[:1]
-
-    def engine(tree, library, coupling, noise_aware, max_buffers=None,
-               power=None):
-        if len(tree.sinks) < min_sinks:
-            return default_engine(
-                tree, library, coupling, noise_aware, max_buffers,
-                dp_engine="fast", power=power,
-            )
-        options = DPOptions(
-            noise_aware=noise_aware,
-            track_counts=True,
-            max_buffers=max_buffers,
-            engine="fast",
-            power=power,
-        )
-        driver = tree.driver
-        if driver is None:
-            raise InfeasibleError(
-                f"tree {tree.name!r} has no driver cell; pass driver="
-            )
-        return _OverPruningFastEngine(
-            tree, library, coupling, options, driver
-        ).run()
-
-    return engine
-
-
 def planted_buggy_lishi_engine(min_sinks: int = 2) -> Engine:
     """A lishi engine with deliberately over-eager dominance eviction.
 
     On trees with at least ``min_sinks`` sinks the timing prune keeps
-    only the min-load candidate of every group — the same planted bug
-    as :func:`planted_buggy_fast_engine`, expressed through the lishi
-    engine's prune seam.  Because the lishi engine's claim is *semantic
-    equivalence* rather than bit-identity, this is the mutant the
-    equivalence harness must catch: every surviving candidate is still
-    self-consistent (the certificate passes), only the oracle or a
-    reference comparison notices the evicted optimum.
+    only the min-load candidate of every group, discarding the rest of
+    the frontier.  Over-eviction is *self-consistent* — every surviving
+    candidate's claims are still correct, so the certificate passes —
+    which is exactly why the fuzzer needs the exhaustive oracle: only a
+    ground-truth comparison (the oracle, or the equivalence harness's
+    reference comparison) notices the optimum went missing.  The
+    self-test asserts the fuzz/shrink loop catches this.
     """
     from ..core.lishi_engine import LiShiEngine
 
@@ -263,9 +219,9 @@ class FuzzConfig:
     #: directory for counterexample JSON files (None: don't write).
     out_dir: Optional[str] = None
     max_counterexamples: int = 10
-    #: DP implementation under test (``"reference"``, ``"fast"``,
-    #: ``"lishi"``, or ``"auto"``) when no explicit engine callable is
-    #: passed to :func:`run_fuzz`.
+    #: DP implementation under test (any of
+    #: :data:`repro.core.dp.ENGINE_CHOICES`) when no explicit engine
+    #: callable is passed to :func:`run_fuzz`.
     engine: str = "reference"
 
     def __post_init__(self) -> None:
@@ -612,7 +568,7 @@ def run_fuzz(
 
     ``engine`` defaults to the real DP in the implementation
     ``config.engine`` names; the self-test suite passes
-    :func:`planted_buggy_engine` / :func:`planted_buggy_fast_engine`
+    :func:`planted_buggy_engine` / :func:`planted_buggy_lishi_engine`
     instead and asserts the campaign catches them.
 
     ``tracer``/``metrics`` (see :mod:`repro.obs`) journal campaign

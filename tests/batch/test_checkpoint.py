@@ -171,12 +171,11 @@ class TestJournalRoundtrip:
 class TestCrossEngineResume:
     """A journal written under one engine resumes under another.
 
-    The DP engine — including any ``"auto"`` resolution, which never
-    reaches the options — is deliberately excluded from the checkpoint
+    The DP engine name is deliberately excluded from the checkpoint
     fingerprint: engine choice changes how answers are computed, not
-    what they are.  An interrupted fast batch may therefore finish under
-    lishi; the recomputed nets are re-verified (``certify=True``), not
-    trusted.
+    what they are.  A batch journaled under a retired name (``"fast"``,
+    ``"auto"``) may therefore finish under lishi or the reference; the
+    recomputed nets are re-verified (``certify=True``), not trusted.
     """
 
     def _config(self, engine):
@@ -204,8 +203,7 @@ class TestCrossEngineResume:
         assert report.certified_count == 8
 
         # the journaled head is kept verbatim (fast signatures), and the
-        # recomputed tail is genuinely lishi work (its signatures match
-        # an uninterrupted lishi run, and differ from fast's in general)
+        # recomputed tail matches an uninterrupted lishi run
         full_fast = BatchOptimizer(
             config=self._config("fast"), workload=workload
         ).optimize(specs)
@@ -217,15 +215,15 @@ class TestCrossEngineResume:
         assert resumed[5:] == full_lishi.signatures()[5:]
 
     def test_auto_journal_resumes_under_explicit_engine(self, ckpt_dir):
-        # "auto" resolution stays out of the fingerprint too: a journal
-        # begun under auto reloads under an explicit engine and back
+        # a journal begun under the retired "auto" name reloads under an
+        # explicit engine
         workload = WorkloadConfig(nets=4, seed=13)
         specs = population_specs(workload)
         path = ckpt_dir / "auto_engine.jsonl"
         auto = BatchOptimizer(config=self._config("auto"), workload=workload)
         auto.optimize(specs[:2], checkpoint=path)
         explicit = BatchOptimizer(
-            config=self._config("fast"), workload=workload
+            config=self._config("reference"), workload=workload
         )
         report = explicit.optimize(specs, checkpoint=path, resume=True)
         assert len(report.results) == 4

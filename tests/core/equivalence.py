@@ -1,11 +1,10 @@
 """Semantic-equivalence harness for engines that drop bit-identity.
 
-The fast engine is held to *bit-identity* with the reference
-(`test_engine_differential.py`).  The lishi engine deliberately gives
-that up — lazy offsets reassociate float arithmetic, eager eviction and
-hull-mediated buffering change which of several equally-good candidates
-survives — so its correctness bar is **semantic equivalence**, asserted
-by three independent layers:
+The lishi engine deliberately gives up bit-identity with the
+reference — lazy offsets reassociate float arithmetic, eager eviction
+and hull-mediated buffering change which of several equally-good
+candidates survives — so its correctness bar is **semantic
+equivalence**, asserted by three independent layers:
 
 1. :func:`assert_outcomes_equivalent` — the *selected outcomes* (the
    per-count frontier the caller actually consumes) must match the

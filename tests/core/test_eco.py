@@ -180,7 +180,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="reference"):
             dp_result(
                 y_tree, library, coupling,
-                engine="fast", frontier_cache=FrontierCache(),
+                engine="lishi", frontier_cache=FrontierCache(),
             )
 
     def test_rejects_collect_stats(self, library, coupling, y_tree):

@@ -1,18 +1,15 @@
-"""The power accumulator and its selections, across all three engines.
+"""The power accumulator and its selections, across both engines.
 
 The tentpole contracts pinned here, at the DP layer:
 
 * ``DPOptions.power`` is a strict opt-in: a ``power=None`` run is the
-  pre-power code path, evidenced by reference/fast signature equality
-  (bit-identity pair) and by the *zero-model identity* — a model whose
-  powers are all zero produces byte-identical outcomes on the engines
-  that guarantee bit-identity (reference, fast).  The lishi engine's
+  pre-power code path, evidenced by the *zero-model identity* — a model
+  whose powers are all zero produces byte-identical outcomes on the
+  reference engine.  The lishi engine's
   power key splits float ties differently even at zero, so its
   power-off bar is determinism plus semantic equivalence — the same
   discipline as ``site_prices`` (see ``test_site_prices.py``).
-* With a live model, the fast engine stays bit-identical to the
-  reference (now including each outcome's accumulated power), and the
-  lishi engine passes the three-layer power harness
+* With a live model, the lishi engine passes the three-layer power harness
   (:func:`equivalence.assert_power_equivalence`): selection
   equivalence, independent certificate power re-derivation, exhaustive
   oracle power legs.
@@ -54,9 +51,9 @@ SILENT = CouplingModel.silent()
 COUPLING = CouplingModel.estimation_mode(default_technology())
 POWER = default_power_model()
 
-ENGINES = ("reference", "fast", "lishi")
-#: bit-identity pair: these two engines promise byte-equal results.
-BIT_ENGINES = ("reference", "fast")
+ENGINES = ("reference", "lishi")
+#: the engines that promise byte-equal results under a zero power model.
+BIT_ENGINES = ("reference",)
 
 #: the acceptance fleet: 200 seeded nets for the power-off identity.
 FLEET_SEEDS = range(200)
@@ -137,18 +134,6 @@ class TestPowerAccumulator:
         assert all(o.power == 0.0 for o in result.outcomes)
 
 
-class TestFastBitIdentityWithPower:
-    @pytest.mark.parametrize("noise_aware", [False, True])
-    def test_power_runs_identical(self, noise_aware):
-        for seed in range(20):
-            tree = seeded_tree(seed, max_internal=4, with_rats=True)
-            ref = _run(tree, "reference", noise_aware=noise_aware,
-                       power=POWER)
-            fast = _run(tree, "fast", noise_aware=noise_aware, power=POWER)
-            assert _signature(ref, with_power=True) == \
-                _signature(fast, with_power=True), f"seed {seed}"
-
-
 class TestPowerOffFleetIdentity:
     """The acceptance gate: power-off bit-identity on a 200-net fleet."""
 
@@ -160,9 +145,6 @@ class TestPowerOffFleetIdentity:
                 engine: _run(tree, engine, noise_aware=noise_aware)
                 for engine in ENGINES
             }
-            # Bit-identity pair.
-            assert _signature(runs["reference"]) == \
-                _signature(runs["fast"]), f"seed {seed}: reference vs fast"
             # Zero-model identity on the bit-identical engines: the
             # power machinery at zero is byte-invisible.
             for engine in BIT_ENGINES:

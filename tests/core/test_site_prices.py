@@ -1,4 +1,4 @@
-"""The ``DPOptions.site_prices`` hook: validation, all three engines,
+"""The ``DPOptions.site_prices`` hook: validation, both engines,
 bit-identity of the zero-price path, and the planted stale-price mutant.
 
 ``site_prices`` is the seam the fleet coordinator threads Lagrangian
@@ -7,8 +7,8 @@ core contracts *at the DP layer*, independent of any coordinator:
 
 * pricing a node makes buffering there strictly less attractive — a
   large enough price drives the chosen count to zero in every engine;
-* absent, empty, and all-zero price maps are the same run bit-for-bit
-  (the coordinator's round-0 ≡ uncoordinated-batch guarantee rests on
+* absent, empty, and all-zero price maps are the same reference run
+  bit-for-bit (the coordinator's round-0 ≡ uncoordinated-batch guarantee rests on
   this);
 * the lishi engine stays semantically equivalent under prices, and the
   harness proves it can catch a stale-``site_prices`` engine (one that
@@ -75,7 +75,7 @@ class TestValidation:
 
 
 class TestEnginesHonorPrices:
-    @pytest.mark.parametrize("engine", ["reference", "fast", "lishi"])
+    @pytest.mark.parametrize("engine", ["reference", "lishi"])
     @pytest.mark.parametrize("seed", BUFFERED_SEEDS[:3])
     def test_prohibitive_price_empties_the_solution(self, engine, seed):
         """A price dwarfing any achievable delay gain zeroes the count."""
@@ -87,7 +87,7 @@ class TestEnginesHonorPrices:
         )
         assert result.best().buffer_count == 0
 
-    @pytest.mark.parametrize("engine", ["reference", "fast", "lishi"])
+    @pytest.mark.parametrize("engine", ["reference", "lishi"])
     def test_moderate_price_lowers_priced_slack(self, engine):
         """Buffered outcomes pay — never gain — under prices, and the
         critical path pays strictly.
@@ -120,7 +120,7 @@ class TestEnginesHonorPrices:
 
 
 class TestZeroPriceBitIdentity:
-    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("engine", ["reference"])
     @pytest.mark.parametrize("empty", [None, {}])
     def test_absent_and_empty_identical(self, engine, empty):
         tree = seeded_tree(8, max_internal=3, with_rats=True)
@@ -131,7 +131,7 @@ class TestZeroPriceBitIdentity:
         )
         assert _signature(plain) == _signature(priced)
 
-    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("engine", ["reference"])
     def test_all_zero_prices_identical(self, engine):
         """``x - 0.0`` is IEEE bit-identical to ``x``: a zero price map
         must reproduce the unpriced run exactly, not just closely."""

@@ -144,17 +144,6 @@ class TestDeterminism:
             assert parallel.signatures() == serial.signatures()
             assert parallel.prices == serial.prices
 
-    def test_fast_engine_is_bit_identical_to_reference(self):
-        for seed in (1, 4, 12):
-            reference = coordinate(seed)
-            fast = coordinate(
-                seed,
-                batch=BatchConfig(
-                    mode="delay", max_segment_length=None, engine="fast"
-                ),
-            )
-            assert fast.signatures() == reference.signatures()
-
     def test_lishi_engine_is_semantically_equivalent(self):
         for seed in (1, 4, 12):
             reference = coordinate(seed)

@@ -8,7 +8,7 @@ from repro.obs import PHASE_METHODS, MetricsRegistry, PhaseProfiler
 PHASES = tuple(phase for _, phase in PHASE_METHODS)
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("engine", ["reference", "lishi"])
 @pytest.mark.parametrize("mode", ["delay", "buffopt"])
 def test_profiled_run_is_bit_identical(y_tree, library, coupling, engine,
                                        mode):

@@ -13,11 +13,14 @@ The version bump's contracts:
   top-level fields and round-trip through the journal form;
 * journal headers from protocol 1 stay readable
   (:data:`~repro.service.COMPATIBLE_PROTOCOLS`), and recovery replays
-  v1-shaped records unchanged;
+  v1-shaped records unchanged — including requests that name the
+  retired ``"fast"``/``"auto"`` engines, which run lishi;
 * the worker threads a request objective into the batch layer.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -35,7 +38,11 @@ from repro.service.cache import (
     recover_journal,
 )
 from repro.service.protocol import request_from_json
-from repro.service.worker import batch_config_for
+from repro.service.worker import (
+    WorkPayload,
+    batch_config_for,
+    execute_request,
+)
 
 from .conftest import tiny_payload
 
@@ -160,6 +167,65 @@ class TestJournalCompat:
         state = recover_journal(path)
         assert state.pending == [(request.fingerprint(), request)]
         assert state.pending[0][1].objective == request.objective
+
+
+class TestRetiredEngineJournals:
+    """Journals written while ``"fast"`` and ``"auto"`` were engines.
+
+    Their accepted records store the old name, and the fingerprint is
+    recomputed from the stored request on recovery, so the name must be
+    kept as written; the pending work then runs on lishi.
+    """
+
+    @pytest.mark.parametrize("protocol", [1, 2])
+    def test_recover_and_run_on_lishi(self, inline_service, tmp_path,
+                                      protocol):
+        # delay-mode nets, where lishi's candidate counts differ from the
+        # reference's, so the results tell which engine ran
+        payloads = [tiny_payload(
+            "old-fast", sink_count=4, mode="delay", engine="fast"
+        )]
+        if protocol == 1:
+            payloads.append(tiny_payload(
+                "old-auto", sink_count=4, mode="delay", engine="auto"
+            ))
+        else:
+            payloads.append(tiny_payload(
+                "old-auto", sink_count=4, engine="auto",
+                objective={"mode": "delay", "selection": "min-power"},
+            ))
+        path = tmp_path / f"v{protocol}.jsonl"
+        journal = ServiceJournal.create(path, fsync=False)
+        for number, payload in enumerate(payloads):
+            request = parse_request(payload)
+            journal.record_accepted(
+                request.fingerprint(), request, f"job-{number}"
+            )
+        journal.close()
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].replace(
+            f'"protocol": {PROTOCOL_VERSION}', f'"protocol": {protocol}'
+        )
+        path.write_text("\n".join(lines) + "\n")
+        stored = [json.loads(line) for line in lines[1:]]
+        assert [r["request"]["engine"] for r in stored] == ["fast", "auto"]
+
+        state = recover_journal(path)
+        assert [r.engine for _, r in state.pending] == ["fast", "auto"]
+
+        service = inline_service(journal_path=path)
+        assert service.recovered_jobs == 2
+        for payload in payloads:
+            status, body = service.submit(dict(payload, wait=True))
+            assert status == 200
+            results = {
+                engine: execute_request(WorkPayload(
+                    parse_request(dict(payload, engine=engine))
+                ))["result"]
+                for engine in ("reference", "lishi")
+            }
+            assert results["reference"] != results["lishi"]
+            assert body["result"] == results["lishi"]
 
 
 class TestWorkerThreading:

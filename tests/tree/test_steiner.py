@@ -143,3 +143,37 @@ class TestSteinerTree:
         tree = steiner_tree(tech, (0.0, 0.0), sites(points))
         assert len(tree.sinks) == n
         assert tree.is_binary
+
+
+_PREORDER_SCRIPT = """
+import hashlib
+from repro.workloads.generator import generate_population
+
+digest = hashlib.sha256()
+for net in generate_population()[:200]:
+    for node in net.tree.preorder():
+        digest.update(node.name.encode() + b"/")
+print(digest.hexdigest())
+"""
+
+
+def test_topology_is_independent_of_hash_seed():
+    """Corner names and child order must not follow ``PYTHONHASHSEED``:
+    resumed and resharded batches rebuild nets in other interpreters."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    digests = set()
+    for hash_seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        digests.add(subprocess.run(
+            [sys.executable, "-c", _PREORDER_SCRIPT], env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout)
+    assert len(digests) == 1

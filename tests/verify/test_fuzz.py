@@ -19,7 +19,6 @@ from repro.verify import (
     FuzzConfig,
     engine_for,
     planted_buggy_engine,
-    planted_buggy_fast_engine,
     planted_buggy_lishi_engine,
     planted_buggy_power_engine,
     replay_file,
@@ -30,6 +29,10 @@ from repro.verify import (
 
 
 class TestCampaign:
+    def test_fuzz_config_rejects_unknown_engine(self):
+        with pytest.raises(ValueError, match="engine"):
+            FuzzConfig(iterations=5, engine="turbo")
+
     def test_clean_engine_survives_seeded_campaign(self):
         report = run_fuzz(FuzzConfig(iterations=25, seed=11))
         assert report.ok, report.describe()
@@ -82,52 +85,15 @@ class TestCampaign:
         assert net_to_dict(net) == shrunk
 
 
-class TestFastEngineCampaign:
-    """The fuzz loop exercised through the fast engine seam.
-
-    The planted fast-engine bug over-prunes the frontier, which keeps the
-    surviving claims self-consistent (the certificate passes) — only the
-    oracle cross-check catches it.  This proves the campaign's oracle leg
-    pulls its weight for the fast engine, not just the reference one.
-    """
-
-    def test_clean_fast_engine_survives_seeded_campaign(self):
-        report = run_fuzz(
-            FuzzConfig(iterations=25, seed=11, engine="fast")
-        )
-        assert report.ok, report.describe()
-        assert report.iterations_run == 25
-
-    def test_planted_fast_bug_is_caught_and_shrunk(self, tmp_path):
-        config = FuzzConfig(
-            iterations=40, seed=5, out_dir=str(tmp_path),
-            max_counterexamples=2,
-        )
-        report = run_fuzz(config, engine=planted_buggy_fast_engine())
-        assert not report.ok
-        example = report.counterexamples[0]
-        assert example.shrunk_nodes <= example.original_nodes
-        assert report.written_files
-        # the repro replays against the buggy fast engine and passes
-        # against both healthy engines
-        path = report.written_files[0]
-        assert replay_file(path, engine=planted_buggy_fast_engine())
-        assert replay_file(path, engine=engine_for("fast")) == []
-        assert replay_file(path) == []
-
-    def test_fuzz_config_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            FuzzConfig(iterations=5, engine="turbo")
-
-
 class TestLiShiEngineCampaign:
     """The fuzz loop exercised through the lishi engine seam.
 
     The planted lishi bug over-evicts during the timing prune — every
     surviving candidate is still a genuine candidate, so the claims
-    self-certify and only the differential/oracle legs can catch the
-    missing optimum.  Same closed loop as the fast seam: detected,
-    shrunk, replayable, and cleanly green on the healthy engines.
+    self-certify and only the oracle leg can catch the missing optimum.
+    This proves the campaign's oracle leg pulls its weight for the lishi
+    engine, not just the reference one: detected, shrunk, replayable,
+    and cleanly green on the healthy engines.
     """
 
     def test_clean_lishi_engine_survives_seeded_campaign(self):
@@ -153,12 +119,6 @@ class TestLiShiEngineCampaign:
         assert replay_file(path, engine=planted_buggy_lishi_engine())
         assert replay_file(path, engine=engine_for("lishi")) == []
         assert replay_file(path) == []
-
-    def test_auto_engine_campaign_is_clean(self):
-        report = run_fuzz(
-            FuzzConfig(iterations=15, seed=23, engine="auto")
-        )
-        assert report.ok, report.describe()
 
 
 class TestPowerCampaign:
@@ -255,18 +215,18 @@ class TestCli:
         assert code == 0
         assert "OK" in capsys.readouterr().out
 
-    def test_fuzz_cli_fast_engine_clean_and_planted(self, tmp_path, capsys):
+    def test_fuzz_cli_lishi_engine_clean_and_planted(self, tmp_path, capsys):
         code = main([
-            "fuzz", "--iters", "10", "--seed", "11", "--engine", "fast",
+            "fuzz", "--iters", "10", "--seed", "11", "--engine", "lishi",
         ])
         assert code == 0
         captured = capsys.readouterr()
         assert "OK" in captured.out
-        assert "engine fast" in captured.err  # progress line names it
+        assert "engine lishi" in captured.err  # progress line names it
 
         out = tmp_path / "repros"
         code = main([
-            "fuzz", "--iters", "40", "--seed", "5", "--engine", "fast",
+            "fuzz", "--iters", "40", "--seed", "5", "--engine", "lishi",
             "--plant-bug", "--out", str(out), "--max-counterexamples", "1",
         ])
         assert code == 1
