@@ -21,8 +21,10 @@ from repro import (
     CouplingModel,
     DPOptions,
     DriverCell,
+    Objective,
     default_buffer_library,
     default_technology,
+    dp_result,
     insert_buffers_multi_sink,
     run_dp,
     segment_tree,
@@ -35,6 +37,8 @@ TECH = default_technology()
 LIBRARY = default_buffer_library()
 COUPLING = CouplingModel.estimation_mode(TECH)
 DRIVER = DriverCell("drv", 250.0, 30e-12)
+#: Problem 2: max slack subject to noise.
+MAX_SLACK = Objective(mode="buffopt", selection="max-slack")
 
 
 def _net(segments_um=500):
@@ -56,7 +60,7 @@ def test_pruning_rule_ablation(benchmark, prune):
     result = benchmark(run)
     # Stash for the cross-check below via function attributes.
     test_pruning_rule_ablation.results[prune] = (
-        result.best().slack, result.candidates_kept_peak
+        result.select(MAX_SLACK).slack, result.candidates_kept_peak
     )
     if len(test_pruning_rule_ablation.results) == 2:
         (q_t, kept_t) = test_pruning_rule_ablation.results["timing"]
@@ -74,7 +78,7 @@ def test_segmentation_quality_tradeoff(benchmark, segment_um):
 
     def run():
         result = run_dp(tree, LIBRARY, COUPLING, DPOptions(noise_aware=True))
-        return result.best()
+        return result.select(MAX_SLACK)
 
     outcome = benchmark(run)
     record = test_segmentation_quality_tradeoff.results
@@ -114,7 +118,6 @@ def test_noise_aware_segmentation(benchmark):
     """
     from repro import two_pin_net
     from repro.core import (
-        buffopt_result,
         insert_buffers_multi_sink,
         noise_aware_segmentation,
     )
@@ -125,8 +128,8 @@ def test_noise_aware_segmentation(benchmark):
 
     def run():
         sited = noise_aware_segmentation(net, LIBRARY, COUPLING)
-        result = buffopt_result(sited, LIBRARY, COUPLING, max_buffers=8)
-        return sited, result.fewest_buffers()
+        result = dp_result(sited, LIBRARY, COUPLING, max_buffers=8)
+        return sited, result.select(Objective())
 
     sited, outcome = benchmark(run)
     assert outcome.buffer_count == continuous.buffer_count
@@ -153,7 +156,10 @@ def test_wire_sizing_extension(benchmark):
 
     sized = benchmark(run_sized)
     plain = run_dp(tree, LIBRARY, COUPLING, DPOptions(noise_aware=True))
-    assert sized.best().slack >= plain.best().slack - 1e-15
+    assert (
+        sized.select(MAX_SLACK).slack
+        >= plain.select(MAX_SLACK).slack - 1e-15
+    )
     assert sized.candidates_generated > plain.candidates_generated
 
 
@@ -165,7 +171,7 @@ def test_single_vs_multi_buffer_gap(benchmark):
     def run_multi():
         return run_dp(
             tree, LIBRARY, COUPLING, DPOptions(noise_aware=True)
-        ).best()
+        ).select(MAX_SLACK)
 
     multi = benchmark(run_multi)
     best_single = max(
@@ -173,7 +179,7 @@ def test_single_vs_multi_buffer_gap(benchmark):
             run_dp(
                 tree, single_buffer_library(buffer), COUPLING,
                 DPOptions(noise_aware=True),
-            ).best().slack
+            ).select(MAX_SLACK).slack
             for buffer in LIBRARY
         ),
     )

@@ -5,16 +5,18 @@ import pytest
 from repro import (
     CouplingModel,
     DriverCell,
+    Objective,
     SinkSite,
     default_buffer_library,
     default_technology,
+    dp_result,
     insert_buffers_multi_sink,
     insert_buffers_single_sink,
     segment_tree,
     steiner_tree,
     two_pin_net,
 )
-from repro.core import buffopt_result, optimize_delay
+from repro.core import optimize_delay
 from repro.units import FF, MM, NS, UM
 
 TECH = default_technology()
@@ -66,8 +68,8 @@ def test_buffopt_segmentation_scaling(benchmark, segment_um):
     tree = segment_tree(net, segment_um * UM)
 
     def run():
-        result = buffopt_result(tree, LIBRARY, COUPLING, max_buffers=6)
-        return result.fewest_buffers()
+        result = dp_result(tree, LIBRARY, COUPLING, max_buffers=6)
+        return result.select(Objective())
 
     outcome = benchmark(run)
     assert outcome.buffer_count >= 2

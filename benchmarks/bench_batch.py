@@ -37,6 +37,7 @@ from repro.batch import (
     default_worker_count,
     make_executor,
 )
+from repro.core.objective import Objective
 from repro.workloads import WorkloadConfig, population_specs
 
 
@@ -44,14 +45,14 @@ def run_fleet(
     specs,
     workload,
     executor,
-    mode="buffopt",
+    objective=Objective(),
     collect_stats=False,
     faults=None,
     **config_kwargs,
 ):
     optimizer = BatchOptimizer(
         config=BatchConfig(
-            mode=mode,
+            objective=objective,
             max_buffers=4,
             collect_stats=collect_stats,
             keep_trees=False,
@@ -64,7 +65,7 @@ def run_fleet(
     return optimizer.optimize(specs)
 
 
-def compare_executors(nets, seed, workers, chunk_size, mode):
+def compare_executors(nets, seed, workers, chunk_size, objective):
     workload = WorkloadConfig(nets=nets, seed=seed)
     specs = population_specs(workload)
     reports = {}
@@ -74,7 +75,7 @@ def compare_executors(nets, seed, workers, chunk_size, mode):
         make_executor("chunked", workers=workers, chunk_size=chunk_size),
     ):
         start = perf_counter()
-        report = run_fleet(specs, workload, executor, mode=mode)
+        report = run_fleet(specs, workload, executor, objective=objective)
         elapsed = perf_counter() - start
         reports[executor.name] = (report, elapsed)
         print(
@@ -85,7 +86,7 @@ def compare_executors(nets, seed, workers, chunk_size, mode):
     return reports
 
 
-def budget_overhead(specs, workload, mode, repeats=3):
+def budget_overhead(specs, workload, objective, repeats=3):
     """Happy-path cost of the per-node budget check, in percent.
 
     Times the serial fleet with budgets disabled and with a generous
@@ -97,7 +98,7 @@ def budget_overhead(specs, workload, mode, repeats=3):
         for _ in range(repeats):
             start = perf_counter()
             report = run_fleet(
-                specs, workload, make_executor("serial"), mode=mode,
+                specs, workload, make_executor("serial"), objective=objective,
                 **config_kwargs,
             )
             times.append(perf_counter() - start)
@@ -118,7 +119,7 @@ def budget_overhead(specs, workload, mode, repeats=3):
     return overhead, bare
 
 
-def fault_drill(specs, workload, mode, baseline, rate=0.01):
+def fault_drill(specs, workload, objective, baseline, rate=0.01):
     """Run the fleet with ``rate`` injected transient faults through the
     resilient executor; healthy-net signatures must match ``baseline``."""
     from repro.batch import FaultPlan, ResilientExecutor, RetryPolicy
@@ -135,7 +136,9 @@ def fault_drill(specs, workload, mode, baseline, rate=0.01):
         retry=RetryPolicy(max_attempts=3, backoff_seconds=0.005),
     )
     start = perf_counter()
-    report = run_fleet(specs, workload, executor, mode=mode, faults=plan)
+    report = run_fleet(
+        specs, workload, executor, objective=objective, faults=plan
+    )
     elapsed = perf_counter() - start
     print(
         f"fault drill ({plan.describe()}): "
@@ -162,8 +165,11 @@ def main(argv=None) -> int:
         "min 2 so the pool machinery is always exercised)",
     )
     parser.add_argument("--chunk-size", type=int, default=None)
-    parser.add_argument("--mode", choices=["buffopt", "delay"],
-                        default="buffopt")
+    parser.add_argument(
+        "--objective", type=Objective.parse, default=Objective(),
+        help="objective spec, as for 'buffopt batch --objective' "
+        "(default: buffopt)",
+    )
     parser.add_argument(
         "--smoke", action="store_true",
         help="tiny fleet, correctness-only (CI gate, no perf assertions)",
@@ -176,10 +182,10 @@ def main(argv=None) -> int:
     # process path matters everywhere; its speed only where cores exist.
     workers = args.workers or max(2, cpus)
 
-    print(f"batch bench: {nets} nets, mode={args.mode}, "
+    print(f"batch bench: {nets} nets, objective={args.objective.describe()}, "
           f"{cpus} CPUs, {workers} workers")
     reports = compare_executors(
-        nets, args.seed, workers, args.chunk_size, args.mode
+        nets, args.seed, workers, args.chunk_size, args.objective
     )
 
     signatures = {
@@ -201,7 +207,7 @@ def main(argv=None) -> int:
     workload = WorkloadConfig(nets=nets, seed=args.seed)
     specs = population_specs(workload)
     overhead, baseline = budget_overhead(
-        specs, workload, args.mode, repeats=1 if args.smoke else 3
+        specs, workload, args.objective, repeats=1 if args.smoke else 3
     )
     if overhead is None:
         print("FAIL: budget-guarded run diverged from the bare run",
@@ -218,7 +224,7 @@ def main(argv=None) -> int:
         )
         return 1
 
-    if not fault_drill(specs, workload, args.mode, baseline):
+    if not fault_drill(specs, workload, args.objective, baseline):
         return 1
 
     if args.smoke:

@@ -10,9 +10,14 @@ audits actually passes.
 
 import pytest
 
-from repro import CouplingModel, DriverCell, default_technology, segment_tree
+from repro import (
+    CouplingModel,
+    DriverCell,
+    default_technology,
+    dp_result,
+    segment_tree,
+)
 from repro.batch import BatchConfig, BatchOptimizer
-from repro.core.noise_delay import buffopt_result
 from repro.library import default_buffer_library
 from repro.units import FF, MM, NS, UM
 from repro.verify import certify_result, exhaustive_oracle, seeded_tree
@@ -30,7 +35,7 @@ def audited_result():
     net = two_pin_net(TECH, 8 * MM, DRIVER, 20 * FF, 0.8,
                       required_arrival=2.5 * NS)
     tree = segment_tree(net, 500 * UM)
-    return tree, buffopt_result(tree, LIBRARY, COUPLING)
+    return tree, dp_result(tree, LIBRARY, COUPLING)
 
 
 def test_certifier_throughput(benchmark, audited_result):

@@ -43,6 +43,7 @@ from time import perf_counter
 
 from repro.batch import BatchConfig, BatchOptimizer, SerialExecutor
 from repro.core.dp import DPOptions, run_dp
+from repro.core.objective import Objective
 from repro.library.buffers import default_buffer_library
 from repro.library.cells import DriverCell
 from repro.library.technology import default_technology
@@ -50,6 +51,8 @@ from repro.noise.coupling import CouplingModel
 from repro.tree.builder import TreeBuilder
 from repro.units import FF, MM
 from repro.workloads import WorkloadConfig, population_specs
+
+BUFFOPT = Objective.legacy("buffopt")
 
 #: the 8-cell library the head-to-head runs under (6 buffers, 2 inverters).
 EIGHT_BUFFER_NAMES = (
@@ -183,13 +186,13 @@ def overhead_gate(sinks: int, repeats: int, budget: float = 0.02) -> bool:
 
         start = perf_counter()
         plain = dp_result(
-            tree, library, coupling, mode="buffopt", max_buffers=4
+            tree, library, coupling, objective=BUFFOPT, max_buffers=4
         )
         facade_best = min(facade_best, perf_counter() - start)
 
         start = perf_counter()
         traced = dp_result(
-            tree, library, coupling, mode="buffopt", max_buffers=4,
+            tree, library, coupling, objective=BUFFOPT, max_buffers=4,
             profile=profiler,
         )
         traced_best = min(traced_best, perf_counter() - start)
@@ -233,7 +236,7 @@ def regression_family(nets: int, seed: int):
         for engine in ENGINE_ORDER:
             optimizer = BatchOptimizer(
                 config=BatchConfig(
-                    mode=mode,
+                    objective=Objective.legacy(mode),
                     max_buffers=4,
                     keep_trees=False,
                     certify=True,

@@ -31,9 +31,12 @@ import sys
 from time import perf_counter
 
 from repro.batch import BatchConfig, BatchOptimizer
+from repro.core.objective import Objective
 from repro.fleet import FleetConfig, FleetCoordinator, PriceSchedule
 from repro.units import PS
 from repro.workloads import WorkloadConfig, population_specs
+
+DELAY = Objective.legacy("delay")
 
 
 def coordinated_run(specs, workload, config):
@@ -76,7 +79,7 @@ def main(argv=None) -> int:
     workload = WorkloadConfig(nets=nets, seed=args.seed)
     specs = population_specs(workload)
 
-    batch_config = BatchConfig(mode="delay", keep_trees=False)
+    batch_config = BatchConfig(objective=DELAY, keep_trees=False)
     config = FleetConfig(
         batch=batch_config,
         sites_per_family=sites,

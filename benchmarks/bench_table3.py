@@ -9,9 +9,13 @@ violations at small k, while BuffOpt leaves none.
 
 from conftest import write_result
 
-from repro.core import buffopt_result, delay_opt_result
+from repro.api import dp_result
+from repro.core import Objective
 from repro.experiments import build_table3, format_table3
 from repro.tree import segment_tree
+
+BUFFOPT = Objective.legacy("buffopt")
+DELAY = Objective.legacy("delay")
 
 
 def _segmented(experiment, count=40):
@@ -27,10 +31,11 @@ def test_buffopt_sweep(benchmark, experiment):
     def sweep():
         total = 0
         for tree in trees:
-            result = buffopt_result(
-                tree, experiment.library, experiment.coupling, max_buffers=6
+            result = dp_result(
+                tree, experiment.library, experiment.coupling,
+                objective=BUFFOPT, max_buffers=6,
             )
-            total += result.fewest_buffers().buffer_count
+            total += result.select(BUFFOPT).buffer_count
         return total
 
     total = benchmark(sweep)
@@ -43,8 +48,10 @@ def test_delayopt_sweep(benchmark, experiment):
     def sweep():
         total = 0
         for tree in trees:
-            result = delay_opt_result(tree, experiment.library, max_buffers=4)
-            total += result.best(require_noise=False).buffer_count
+            result = dp_result(
+                tree, experiment.library, objective=DELAY, max_buffers=4
+            )
+            total += result.select(DELAY).buffer_count
         return total
 
     total = benchmark(sweep)

@@ -89,10 +89,14 @@ def main() -> None:
 
     # Apples to apples (the Table IV methodology): rerun DelayOpt limited
     # to the same number of buffers BuffOpt chose.
-    from repro.core import best_within_count, delay_opt_result
+    from repro.api import Objective, dp_result
+    from repro.core import best_within_count
 
     matched = best_within_count(
-        delay_opt_result(tree, library, max_buffers=buffopt.buffer_count),
+        dp_result(
+            tree, library, objective=Objective.legacy("delay"),
+            max_buffers=buffopt.buffer_count,
+        ),
         buffopt.buffer_count,
     )
     d_matched = max_sink_delay(tree, matched.buffer_map())

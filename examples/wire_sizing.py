@@ -20,6 +20,7 @@ from repro import (
     CouplingModel,
     DPOptions,
     DriverCell,
+    Objective,
     default_buffer_library,
     default_technology,
     run_dp,
@@ -51,7 +52,7 @@ def main() -> None:
 
     def report(label, options, lib=library):
         result = run_dp(tree, lib, coupling, options)
-        outcome = result.best()
+        outcome = result.select(Objective(selection="max-slack"))
         resized, solution = result.sized_solution(outcome)
         widened = len(outcome.wire_choices)
         clean = not has_noise_violation(resized, coupling, solution.buffer_map())

@@ -24,11 +24,12 @@ The stable programmatic surface is :mod:`repro.api` — a
 :class:`~repro.api.Session` facade unifying BuffOpt and DelayOpt behind
 one call, with optional tracing/metrics from :mod:`repro.obs`::
 
-    from repro import Session, SessionOptions
+    from repro import Objective, Session, SessionOptions
     from repro.experiments import default_experiment
 
     experiment = default_experiment(nets=10)
-    with Session(SessionOptions(mode="buffopt"),
+    objective = Objective(mode="buffopt", selection="fewest-buffers")
+    with Session(SessionOptions(objective=objective),
                  library=experiment.library,
                  coupling=experiment.coupling) as session:
         outcome = session.optimize(experiment.nets[0].tree)
@@ -61,7 +62,6 @@ from .core import (
     RunBudget,
     buffopt,
     buffopt_min_buffers,
-    buffopt_result,
     decompose_stages,
     insert_buffers_multi_sink,
     insert_buffers_single_sink,
@@ -158,7 +158,6 @@ __all__ = [
     "binarize",
     "buffopt",
     "buffopt_min_buffers",
-    "buffopt_result",
     "decompose_stages",
     "default_buffer_library",
     "default_cell_library",

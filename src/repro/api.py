@@ -1,23 +1,23 @@
 """The stable public API: one session, one optimize call, one result.
 
-PRs 1–4 grew four overlapping entry points (``run_dp``,
-``buffopt_result``, ``delay_opt_result``, ``BatchConfig`` + four CLI
-subcommands); this module is the consolidation seam on top of them:
+PRs 1–4 grew four overlapping entry points (``run_dp``, two
+per-mode result functions, ``BatchConfig`` + four CLI subcommands);
+this module is the consolidation seam on top of them:
 
-* :func:`dp_result` — the unified functional entry: one signature, a
-  ``mode`` switch (``"buffopt"`` / ``"delay"``), every engine knob.
-  ``buffopt_result`` and ``delay_opt_result`` are now deprecation shims
-  over it (bit-identical, pinned by the parity tests), and the batch
-  layer calls it directly.
+* :func:`dp_result` — the unified functional entry: one signature, one
+  :class:`~repro.api.Objective` naming the DP mode (``"buffopt"`` /
+  ``"delay"``) and the selection, every engine knob.  The batch layer
+  calls it directly.
 * :class:`Session` — the object facade owning the observability wiring
   (:class:`~repro.obs.Tracer`, :class:`~repro.obs.MetricsRegistry`,
   optional JSONL trace / Prometheus exports) plus the library /
   coupling / technology defaults, so ``Session(options).optimize(net)``
   is the whole quickstart::
 
-      from repro.api import Session, SessionOptions
+      from repro.api import Objective, Session, SessionOptions
 
-      with Session(SessionOptions(mode="buffopt", engine="lishi")) as s:
+      objective = Objective(mode="buffopt", selection="fewest-buffers")
+      with Session(SessionOptions(objective=objective, engine="lishi")) as s:
           result = s.optimize(tree)
           print(result.describe())
 
@@ -29,7 +29,6 @@ facade overhead with instrumentation disabled).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Optional
@@ -55,50 +54,12 @@ from .tree.segmenting import segment_tree
 from .tree.topology import RoutingTree
 from .units import UM
 
-#: the two DP modes the facade exposes (Algorithm 3 vs the baseline).
-API_MODES = ("buffopt", "delay")
-
-
-def resolve_objective(
-    mode: Optional[str],
-    objective: Optional[Objective],
-    *,
-    min_slack: float = 0.0,
-    owner: str,
-) -> Objective:
-    """Resolve the legacy ``mode=`` string and the new ``objective=``.
-
-    Exactly the shim discipline every surface shares: an explicit
-    ``mode`` alongside an explicit ``objective`` is a conflict; a bare
-    ``mode`` warns and maps through :meth:`Objective.legacy` (carrying
-    the caller's ``min_slack``, which the legacy selection consumed);
-    neither defaults to the legacy buffopt objective.
-    """
-    if objective is not None:
-        if mode is not None and mode != objective.mode:
-            raise ValueError(
-                f"{owner}: mode={mode!r} conflicts with "
-                f"objective.mode={objective.mode!r}; pass only objective="
-            )
-        return objective
-    if mode is None:
-        return Objective.legacy("buffopt", min_slack=min_slack)
-    warnings.warn(
-        f"{owner}: mode= is deprecated; pass "
-        "objective=repro.api.Objective(...) instead (see docs/usage.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return Objective.legacy(mode, min_slack=min_slack)
-
-
 def dp_result(
     tree: RoutingTree,
     library: BufferLibrary,
     coupling: Optional[CouplingModel] = None,
     *,
-    objective: Optional[Objective] = None,
-    mode: Optional[str] = None,
+    objective: Objective = Objective(),
     driver: Optional[DriverCell] = None,
     max_buffers: Optional[int] = None,
     enforce_polarity: bool = True,
@@ -111,16 +72,14 @@ def dp_result(
     site_prices=None,
     power: Optional[PowerModel] = None,
 ) -> DPResult:
-    """One count-tracking DP run; the union of the legacy entry points.
+    """One count-tracking DP run, returning every per-count outcome.
 
     ``objective`` is the structured spec (:class:`~repro.api.Objective`)
     naming the DP mode and the downstream selection; pick the outcome
     with ``dp_result(...).select(objective)``.  A buffopt-mode objective
     is the paper's Algorithm 3 (noise-aware; a ``coupling`` model is
     required), a delay-mode one the DelayOpt baseline (``coupling`` is
-    ignored — the engine runs silent).  The legacy ``mode=`` string
-    remains as a parity-pinned deprecation shim over
-    :meth:`Objective.legacy`.
+    ignored — the engine runs silent).
 
     ``power`` attaches a :class:`~repro.library.PowerModel`, making
     every outcome carry its accumulated buffer + wire power; when the
@@ -138,11 +97,6 @@ def dp_result(
     then *priced* slacks, and ``None``/empty prices are bit-identical
     to an unpriced run.
     """
-    if mode is not None and mode not in API_MODES:
-        raise ValueError(
-            f"unknown mode {mode!r} (expected one of {API_MODES})"
-        )
-    objective = resolve_objective(mode, objective, owner="dp_result")
     if power is None and objective.power_aware:
         power = default_power_model()
     noise_aware = objective.noise_aware
@@ -181,11 +135,6 @@ class SessionOptions:
     alike produce identical solutions.
     """
 
-    #: deprecated legacy mode string (``"buffopt"`` / ``"delay"``);
-    #: prefer ``objective``.  After construction this always holds the
-    #: resolved objective's mode, so downstream consumers (fingerprints,
-    #: telemetry labels) keep reading a concrete string.
-    mode: Optional[str] = None
     #: DP implementation: ``"reference"`` (the readable spec) or
     #: ``"lishi"`` (O(bn²), equivalent within float tolerance); the
     #: retired names ``"fast"`` and ``"auto"`` run lishi.
@@ -194,8 +143,6 @@ class SessionOptions:
     max_buffers: Optional[int] = None
     #: engine pruning rule: ``"timing"`` (paper) or ``"pareto"``.
     prune: str = "timing"
-    #: BuffOpt slack floor for the fewest-buffers selection.
-    min_slack: float = 0.0
     #: wire segmentation applied before the DP; ``None`` skips it.
     max_segment_length: Optional[float] = 500 * UM
     enforce_polarity: bool = True
@@ -213,35 +160,17 @@ class SessionOptions:
     trace_path: Optional[str] = None
     #: write Prometheus text metrics here on :meth:`Session.close`.
     metrics_path: Optional[str] = None
-    #: the structured optimization objective; ``None`` resolves the
-    #: legacy ``mode`` (or, with neither given, the default buffopt
-    #: objective).  After construction this is always a concrete
-    #: :class:`~repro.api.Objective` consistent with ``mode`` and
-    #: ``min_slack``.
-    objective: Optional[Objective] = None
+    #: the structured optimization objective (mode, selection, slack
+    #: floor); the default is the paper's BuffOpt tool configuration.
+    objective: Objective = Objective()
 
     def __post_init__(self) -> None:
-        if self.mode is not None and self.mode not in API_MODES:
-            raise ValueError(
-                f"unknown mode {self.mode!r} (expected one of {API_MODES})"
-            )
-        resolved = resolve_objective(
-            self.mode,
-            self.objective,
-            min_slack=self.min_slack,
-            owner="SessionOptions",
-        )
-        if resolved.selection == "pareto":
+        if self.objective.selection == "pareto":
             raise ValueError(
                 "Session.optimize selects a single outcome; the 'pareto' "
                 "selection returns a frontier — use "
                 "dp_result(...).pareto_outcomes() directly"
             )
-        # Pin the resolved objective and keep the legacy mirrors (mode,
-        # min_slack) coherent with it for downstream consumers.
-        object.__setattr__(self, "objective", resolved)
-        object.__setattr__(self, "mode", resolved.mode)
-        object.__setattr__(self, "min_slack", resolved.min_slack)
         if self.engine not in ENGINE_CHOICES:
             raise ValueError(
                 f"unknown engine {self.engine!r} "
@@ -409,7 +338,7 @@ class Session:
         with self.tracer.span(
             "session.optimize",
             net=tree.name,
-            mode=options.mode,
+            mode=objective.mode,
             engine=options.engine,
         ) as span:
             try:
@@ -438,7 +367,7 @@ class Session:
                 outcome = result.select(objective)
             except ReproError as exc:
                 self._nets.inc(
-                    mode=options.mode, engine=options.engine,
+                    mode=objective.mode, engine=options.engine,
                     status=type(exc).__name__,
                 )
                 raise
@@ -452,13 +381,13 @@ class Session:
                 noise_feasible=outcome.noise_feasible,
                 candidates_generated=result.candidates_generated,
             )
-        self._nets.inc(mode=options.mode, engine=options.engine, status="ok")
+        self._nets.inc(mode=objective.mode, engine=options.engine, status="ok")
         self._seconds.observe(
-            seconds, mode=options.mode, engine=options.engine
+            seconds, mode=objective.mode, engine=options.engine
         )
         return OptimizeResult(
             name=work_tree.name,
-            mode=options.mode,
+            mode=objective.mode,
             seconds=seconds,
             tree=work_tree,
             result=result,

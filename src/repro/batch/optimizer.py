@@ -11,9 +11,8 @@ Design points:
 
 * **Bit-identical to single-net calls.**  Each worker runs exactly
   :func:`optimize_net`, which wraps the same public entry point
-  (:func:`repro.api.dp_result`, the facade behind the legacy
-  ``buffopt_result`` / ``delay_opt_result`` shims) a caller would use
-  directly; the differential harness asserts equality for every executor.
+  (:func:`repro.api.dp_result`) a caller would use directly; the
+  differential harness asserts equality for every executor.
 * **Observable.**  Passing a :class:`~repro.obs.Tracer` and/or
   :class:`~repro.obs.MetricsRegistry` to :class:`BatchOptimizer` emits
   batch/map/fallback spans, one event per completed net, and
@@ -51,7 +50,7 @@ from typing import (
     Union,
 )
 
-from ..api import dp_result, resolve_objective
+from ..api import dp_result
 from ..core.budget import RunBudget
 from ..core.dp import ENGINE_CHOICES
 from ..core.objective import Objective
@@ -90,8 +89,6 @@ from .sharding import SHARD_GLOB, ShardedCheckpoint, load_sharded_checkpoint
 #: accepted item types for :meth:`BatchOptimizer.optimize`.
 BatchItem = Union[RoutingTree, GeneratedNet, NetSpec]
 
-MODES = ("buffopt", "delay")
-
 
 class _FoldedResult:
     """Placeholder left in the results list once a streaming run has
@@ -114,11 +111,6 @@ _FOLDED = _FoldedResult()
 class BatchConfig:
     """Per-net optimization policy shared across the whole batch."""
 
-    #: deprecated legacy mode string (``"buffopt"`` / ``"delay"``);
-    #: prefer ``objective``.  After construction this always holds the
-    #: resolved objective's mode, so fingerprints and telemetry labels
-    #: keep reading a concrete string.
-    mode: Optional[str] = None
     #: wire segmentation applied before the DP; ``None`` skips it (the
     #: trees are then expected to be segmented already).
     max_segment_length: Optional[float] = 500 * UM
@@ -126,8 +118,6 @@ class BatchConfig:
     max_buffers: Optional[int] = None
     #: engine pruning rule: ``"timing"`` (paper) or ``"pareto"`` (ablation).
     prune: str = "timing"
-    #: BuffOpt slack floor for the fewest-buffers selection.
-    min_slack: float = 0.0
     #: collect :class:`~repro.core.stats.EngineStats` per net.
     collect_stats: bool = False
     #: ship each (segmented) tree back so solutions can be materialized.
@@ -157,35 +147,19 @@ class BatchConfig:
     #: ``"auto"`` run lishi.  Excluded from the checkpoint fingerprint,
     #: so a resumed batch may switch engines.
     engine: str = "reference"
-    #: the structured optimization objective; ``None`` resolves the
-    #: legacy ``mode`` (or, with neither given, the default buffopt
-    #: objective).  Legacy-shaped objectives keep the pre-objective
-    #: checkpoint fingerprint schema so old journals still resume.
-    objective: Optional[Objective] = None
+    #: the structured optimization objective (mode, selection, slack
+    #: floor); the default is the paper's BuffOpt tool configuration.
+    #: Legacy-shaped objectives keep the pre-objective checkpoint
+    #: fingerprint schema so old journals still resume.
+    objective: Objective = Objective()
 
     def __post_init__(self) -> None:
-        if self.mode is not None and self.mode not in MODES:
-            raise WorkloadError(
-                f"unknown batch mode {self.mode!r} (expected one of {MODES})"
-            )
-        try:
-            resolved = resolve_objective(
-                self.mode,
-                self.objective,
-                min_slack=self.min_slack,
-                owner="BatchConfig",
-            )
-        except ValueError as exc:
-            raise WorkloadError(str(exc)) from None
-        if resolved.selection == "pareto":
+        if self.objective.selection == "pareto":
             raise WorkloadError(
                 "a batch selects a single outcome per net; the 'pareto' "
                 "selection returns a frontier — use "
                 "dp_result(...).pareto_outcomes() directly"
             )
-        object.__setattr__(self, "objective", resolved)
-        object.__setattr__(self, "mode", resolved.mode)
-        object.__setattr__(self, "min_slack", resolved.min_slack)
         if self.engine not in ENGINE_CHOICES:
             raise WorkloadError(
                 f"unknown engine {self.engine!r} "
@@ -226,6 +200,24 @@ class BatchConfig:
             deadline_seconds=self.net_deadline,
             max_candidates=self.net_max_candidates,
         )
+
+
+def objective_fingerprint(objective: Objective) -> Dict[str, Any]:
+    """The objective's share of a batch or fleet checkpoint fingerprint.
+
+    Legacy-shaped objectives (exactly what the old ``mode`` strings
+    meant) emit the pre-objective schema — ``mode`` and ``min_slack``,
+    no ``"objective"`` key — so journals checkpointed before the
+    Objective API existed still resume; any other objective is part of
+    the solution and must match exactly.
+    """
+    fingerprint: Dict[str, Any] = {
+        "mode": objective.mode,
+        "min_slack": objective.min_slack,
+    }
+    if not objective.is_legacy():
+        fingerprint["objective"] = objective.to_json()
+    return fingerprint
 
 
 #: pipeline phases a failure can be attributed to: ``"generate"`` (spec
@@ -791,27 +783,16 @@ class BatchOptimizer:
         )
 
     def _fingerprint(self) -> Dict[str, Any]:
-        """Solution-relevant configuration, for checkpoint compatibility.
-
-        Legacy-shaped objectives (exactly what the old ``mode=`` strings
-        meant) deliberately emit the pre-objective schema — no
-        ``"objective"`` key — so journals checkpointed before the
-        Objective API existed still resume; any other objective is part
-        of the solution and must match exactly.
-        """
-        fingerprint = {
-            "mode": self.config.mode,
+        """Solution-relevant configuration, for checkpoint compatibility."""
+        return {
+            **objective_fingerprint(self.config.objective),
             "max_segment_length": self.config.max_segment_length,
             "max_buffers": self.config.max_buffers,
             "prune": self.config.prune,
-            "min_slack": self.config.min_slack,
             "certify": self.config.certify,
             "workload_seed": self.workload.seed,
             "workload_nets": self.workload.nets,
         }
-        if not self.config.objective.is_legacy():
-            fingerprint["objective"] = self.config.objective.to_json()
-        return fingerprint
 
     def optimize(
         self,
@@ -896,7 +877,8 @@ class BatchOptimizer:
                     path, fingerprint, fsync=checkpoint_fsync
                 )
 
-        fold = ReportFold(mode=self.config.mode) if stream_report else None
+        mode = self.config.objective.mode
+        fold = ReportFold(mode=mode) if stream_report else None
         names = [item_identity(unit)[0] for unit in units]
         results: List[Optional[NetResult]] = [
             done.get(name) for name in names
@@ -934,7 +916,7 @@ class BatchOptimizer:
             "batch",
             nets=len(units),
             pending=len(pending),
-            mode=self.config.mode,
+            mode=mode,
             engine=self.config.engine,
             executor=executor_name,
         ):
@@ -963,7 +945,7 @@ class BatchOptimizer:
             self.metrics.gauge(
                 "buffopt_batch_wall_seconds",
                 "total wall-clock of the last batch run",
-            ).set(wall, mode=self.config.mode, executor=executor_name)
+            ).set(wall, mode=mode, executor=executor_name)
             phase_gauge = self.metrics.gauge(
                 "buffopt_batch_phase_seconds",
                 "wall-clock of the last batch run, split by phase "
@@ -981,14 +963,14 @@ class BatchOptimizer:
                 results=[],
                 wall_seconds=wall,
                 executor=executor_name,
-                mode=self.config.mode,
+                mode=mode,
                 fold=fold,
             )
         return BatchReport(
             results=results,
             wall_seconds=wall,
             executor=executor_name,
-            mode=self.config.mode,
+            mode=mode,
         )
 
     def _run_pending(
@@ -1057,11 +1039,11 @@ class BatchOptimizer:
         metrics.counter(
             "buffopt_nets_total",
             "nets completed, by mode and terminal status",
-        ).inc(mode=self.config.mode, status=status)
+        ).inc(mode=self.config.objective.mode, status=status)
         metrics.histogram(
             "buffopt_net_seconds",
             "single-net optimization wall-clock",
-        ).observe(result.seconds, mode=self.config.mode)
+        ).observe(result.seconds, mode=self.config.objective.mode)
         metrics.counter(
             "buffopt_candidates_generated_total",
             "DP candidates generated across the fleet",

@@ -60,12 +60,10 @@ prints the package version.
 Every optimizing subcommand (``fix``/``batch``/``fleet``/``fuzz``/
 ``serve``/``loadtest``) additionally speaks the single structured
 ``--objective mode[/selection][/key=value...]`` spec
-(:meth:`repro.core.objective.Objective.parse`).  The per-command
-``--mode`` flags remain as deprecated shims — each maps to the
-*identical* legacy objective, prints a one-line note on stderr, and is
-mutually exclusive with ``--objective`` (both at once exits 2).  The
-one survivor is ``fix --mode noise``: Algorithm 2's continuous
-placement is not a DP objective, so it stays a mode.
+(:meth:`repro.core.objective.Objective.parse`); without it they run
+the default objective, BuffOpt's fewest buffers meeting noise and
+timing.  The one mode flag is ``fix --mode noise``: Algorithm 2's
+continuous placement is not a DP objective, so it stays a mode.
 
 Exit codes (the single source of truth; pinned by the CLI tests):
 
@@ -145,8 +143,9 @@ _OBJECTIVE_HELP = (
     " — modes: buffopt, delay; selections include fewest-buffers, "
     "max-slack, min-power, power-capped, pareto; keys: min_slack, "
     "power_cap, require_noise (e.g. "
-    "'buffopt/power-capped/power_cap=2e-4'). Replaces the deprecated "
-    "--mode; a bare mode means exactly what --mode meant"
+    "'buffopt/power-capped/power_cap=2e-4'). A bare mode is its tool "
+    "configuration: buffopt = fewest-buffers, delay = max-slack "
+    "(default: buffopt)"
 )
 
 
@@ -162,42 +161,20 @@ def _add_objective_option(
 def _resolve_objective_flags(
     args: argparse.Namespace, *, command: str
 ):
-    """Reconcile ``--objective`` with the deprecated ``--mode``.
+    """Parse ``--objective``, or default to the BuffOpt objective.
 
-    Returns the resolved :class:`~repro.core.objective.Objective`, or
-    ``None`` after printing a usage error (callers exit
-    :data:`EXIT_USAGE`).  An explicit ``--mode`` still works — it maps
-    to the identical legacy objective — but earns a one-line
-    deprecation note on stderr.
+    Returns the :class:`~repro.core.objective.Objective`, or ``None``
+    after printing a usage error (callers exit :data:`EXIT_USAGE`).
     """
     from .core.objective import Objective
 
-    spec = getattr(args, "objective", None)
-    mode = getattr(args, "mode", None)
-    if spec is not None and mode is not None:
-        print(
-            f"buffopt {command}: --objective and the deprecated --mode "
-            "are mutually exclusive; pass only --objective",
-            file=sys.stderr,
-        )
+    if args.objective is None:
+        return Objective()
+    try:
+        return Objective.parse(args.objective)
+    except ValueError as exc:
+        print(f"buffopt {command}: bad --objective: {exc}", file=sys.stderr)
         return None
-    if spec is not None:
-        try:
-            return Objective.parse(spec)
-        except ValueError as exc:
-            print(
-                f"buffopt {command}: bad --objective: {exc}",
-                file=sys.stderr,
-            )
-            return None
-    if mode is not None:
-        print(
-            f"note: --mode is deprecated; use --objective {mode} "
-            "(see docs/usage.md)",
-            file=sys.stderr,
-        )
-        return Objective.legacy(mode)
-    return Objective.legacy("buffopt")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,11 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
     fix.add_argument("net", help="path to the JSON net description")
     fix.add_argument(
         "--mode",
-        choices=["buffopt", "delay", "noise"],
+        choices=["noise"],
         default=None,
         help="noise: Algorithm 2 continuous noise-only placement (not a "
-        "DP objective, so it stays a mode); buffopt/delay are deprecated "
-        "spellings of --objective buffopt / --objective delay",
+        "DP objective, so it stays a mode)",
     )
     _add_objective_option(fix)
     fix.add_argument(
@@ -251,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_options(
         fix,
         seed_help="workload seed" + _UNUSED,
-        engine_help="DP implementation for --mode buffopt/delay "
-        "(bit-identical results; ignored by --mode noise)",
+        engine_help="DP implementation for the --objective run "
+        "(ignored by --mode noise)",
     )
 
     sens = subparsers.add_parser(
@@ -281,10 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="optimize a generated net fleet with a pluggable executor",
     )
     batch.add_argument("--nets", type=int, default=200, help="fleet size")
-    batch.add_argument(
-        "--mode", choices=["buffopt", "delay"], default=None,
-        help="deprecated: use --objective buffopt / --objective delay",
-    )
     _add_objective_option(batch)
     batch.add_argument(
         "--executor",
@@ -411,13 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
         "with Lagrangian prices (see docs/algorithms.md section 9)",
     )
     fleet.add_argument("--nets", type=int, default=50, help="fleet size")
-    fleet.add_argument(
-        "--mode", choices=["buffopt", "delay"], default=None,
-        help="deprecated: use --objective (delay-mode objectives "
-        "additionally report a Lagrangian dual bound on the fleet's "
-        "total slack)",
+    _add_objective_option(
+        fleet,
+        help_text=_OBJECTIVE_HELP + "; delay-mode objectives additionally "
+        "report a Lagrangian dual bound on the fleet's total slack",
     )
-    _add_objective_option(fleet)
     fleet.add_argument(
         "--executor",
         choices=["serial", "process", "chunked", "async"],
@@ -689,10 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--unique-nets", type=int, default=32,
         help="distinct nets; the rest repeat, exercising the cache "
         "(default 32)",
-    )
-    loadtest.add_argument(
-        "--mode", choices=["buffopt", "delay"], default=None,
-        help="deprecated: use --objective",
     )
     _add_objective_option(
         loadtest,

@@ -18,7 +18,7 @@ from .eco import (
     FrontierSnapshot,
     subtree_fingerprints,
 )
-from .noise_delay import buffopt, buffopt_min_buffers, buffopt_result
+from .noise_delay import buffopt, buffopt_min_buffers
 from .objective import OBJECTIVE_MODES, SELECTION_RULES, Objective
 from .noise_multi import (
     NoiseCandidate,
@@ -32,7 +32,6 @@ from .stages import Stage, StageSink, decompose_stages
 from .stats import EngineStats, NodeStats
 from .van_ginneken import (
     best_within_count,
-    delay_opt_result,
     optimize_delay,
     optimize_delay_per_count,
 )
@@ -79,9 +78,7 @@ __all__ = [
     "best_within_count",
     "buffopt",
     "buffopt_min_buffers",
-    "buffopt_result",
     "decompose_stages",
-    "delay_opt_result",
     "insert_buffers_multi_sink",
     "insert_buffers_single_sink",
     "max_coupling_ratio",

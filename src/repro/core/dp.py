@@ -29,7 +29,6 @@ the candidate arithmetic (tested).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -291,9 +290,9 @@ class DPResult:
     hence rising slack) within it.
 
     Outcome selection is unified behind :meth:`select`, which consumes a
-    structured :class:`~repro.core.objective.Objective`; the historical
-    per-rule methods (:meth:`best`, :meth:`fewest_buffers`,
-    :meth:`minimize_cost`) remain as parity-pinned deprecation shims.
+    structured :class:`~repro.core.objective.Objective`.
+    :meth:`minimize_cost` stays beside it for arbitrary per-buffer
+    weights, which no objective expresses.
     """
 
     tree: RoutingTree
@@ -310,9 +309,8 @@ class DPResult:
 
         Returns one :class:`DPOutcome` for every selection rule except
         ``"pareto"``, which returns the nondominated tuple from
-        :meth:`pareto_outcomes`.  This is the non-deprecated selection
-        surface; the rule-specific methods below document each rule's
-        exact tie-breaks.
+        :meth:`pareto_outcomes`.  The rule-specific helpers below
+        document each rule's exact tie-breaks.
         """
         if objective.selection == "max-slack":
             return self._best(objective.require_noise)
@@ -334,16 +332,6 @@ class DPResult:
             f"unknown objective selection {objective.selection!r}"
         )
 
-    def best(self, require_noise: Optional[bool] = None) -> DPOutcome:
-        """Deprecated shim for ``select(Objective(selection="max-slack"))``."""
-        warnings.warn(
-            "DPResult.best is deprecated; use DPResult.select with an "
-            "Objective(selection='max-slack')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._best(require_noise)
-
     def _best(self, require_noise: Optional[bool] = None) -> DPOutcome:
         """Maximum-slack outcome (Problem 2 when ``require_noise``).
 
@@ -352,18 +340,6 @@ class DPResult:
         """
         pool = self._noise_pool(require_noise)
         return max(pool, key=lambda o: (o.slack, -o.buffer_count, -o.power))
-
-    def fewest_buffers(
-        self, min_slack: float = 0.0, require_noise: Optional[bool] = None
-    ) -> DPOutcome:
-        """Deprecated shim for ``select(Objective(selection="fewest-buffers"))``."""
-        warnings.warn(
-            "DPResult.fewest_buffers is deprecated; use DPResult.select "
-            "with an Objective(selection='fewest-buffers')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._fewest_buffers(min_slack, require_noise)
 
     def _fewest_buffers(
         self, min_slack: float = 0.0, require_noise: Optional[bool] = None
@@ -381,27 +357,6 @@ class DPResult:
         return max(pool, key=lambda o: (o.slack, -o.buffer_count))
 
     def minimize_cost(
-        self,
-        cost,
-        min_slack: float = 0.0,
-        require_noise: Optional[bool] = None,
-    ) -> DPOutcome:
-        """Deprecated shim for the Lillis weighted-cost selection.
-
-        The physical-power successor is ``select`` with a ``min-power``
-        objective on a power-model run; this shim keeps the arbitrary
-        per-buffer weight callback for parity.
-        """
-        warnings.warn(
-            "DPResult.minimize_cost is deprecated; run the DP with "
-            "DPOptions(power=...) and use DPResult.select with an "
-            "Objective(selection='min-power')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._minimize_cost(cost, min_slack, require_noise)
-
-    def _minimize_cost(
         self,
         cost,
         min_slack: float = 0.0,

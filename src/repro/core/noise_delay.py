@@ -15,64 +15,22 @@ Entry points:
 * :func:`buffopt` — Problem 2: maximize source slack subject to noise;
 * :func:`buffopt_min_buffers` — Problem 3: fewest buffers meeting noise
   and timing, slack as tiebreak (the BuffOpt tool configuration used for
-  the paper's Tables II–IV);
-* :func:`buffopt_result` — the raw per-count :class:`DPResult`.
+  the paper's Tables II–IV).
+
+The raw per-count :class:`DPResult` comes from :func:`repro.api.dp_result`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 from ..library.buffers import BufferLibrary
 from ..library.cells import DriverCell
 from ..noise.coupling import CouplingModel
 from ..tree.topology import RoutingTree
-from .budget import RunBudget
-from .dp import DPOptions, DPResult, run_dp
+from .dp import DPOptions, run_dp
+from .objective import Objective
 from .solution import BufferSolution
-
-
-def buffopt_result(
-    tree: RoutingTree,
-    library: BufferLibrary,
-    coupling: CouplingModel,
-    driver: Optional[DriverCell] = None,
-    max_buffers: Optional[int] = None,
-    enforce_polarity: bool = True,
-    prune: str = "timing",
-    collect_stats: bool = False,
-    budget: Optional[RunBudget] = None,
-    engine: str = "reference",
-) -> DPResult:
-    """Noise-constrained count-tracking DP run (per-count outcomes).
-
-    .. deprecated:: 1.1
-        Use :func:`repro.api.dp_result` with ``mode="buffopt"`` (or the
-        :class:`repro.api.Session` facade).  This shim forwards there
-        and returns bit-identical results — pinned by the parity tests.
-    """
-    warnings.warn(
-        "buffopt_result is deprecated; use repro.api.dp_result("
-        "mode='buffopt') or repro.api.Session instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..api import dp_result
-
-    return dp_result(
-        tree,
-        library,
-        coupling,
-        mode="buffopt",
-        driver=driver,
-        max_buffers=max_buffers,
-        enforce_polarity=enforce_polarity,
-        prune=prune,
-        collect_stats=collect_stats,
-        budget=budget,
-        engine=engine,
-    )
 
 
 def buffopt(
@@ -94,7 +52,9 @@ def buffopt(
         options=DPOptions(noise_aware=True, enforce_polarity=enforce_polarity),
         driver=driver,
     )
-    return result.solution(result._best())
+    return result.solution(
+        result.select(Objective(mode="buffopt", selection="max-slack"))
+    )
 
 
 def buffopt_min_buffers(
@@ -118,13 +78,14 @@ def buffopt_min_buffers(
     """
     from ..api import dp_result
 
+    objective = Objective.legacy("buffopt", min_slack=min_slack)
     result = dp_result(
         tree,
         library,
         coupling,
-        mode="buffopt",
+        objective=objective,
         driver=driver,
         max_buffers=max_buffers,
         enforce_polarity=enforce_polarity,
     )
-    return result.solution(result._fewest_buffers(min_slack=min_slack))
+    return result.solution(result.select(objective))

@@ -1,22 +1,20 @@
 """Structured optimization objective: mode + selection rule + constraints.
 
-``dp_result`` historically took a ``mode=`` string and callers then
-picked an outcome by hand with one of three ad-hoc ``DPResult``
-selection methods (``best``, ``fewest_buffers``, ``minimize_cost``).
-Adding power as a third objective axis would have pushed that surface
-past maintainability, so selection is now a *value*: an
-:class:`Objective` names the DP mode (which recurrence runs), the
-selection rule (which outcome wins), and the constraints the rule
-applies (slack floor, power cap, noise requirement).  One objective
-travels unchanged through the Python API, batch configs, the service
-protocol, and the CLI ``--objective`` grammar.
+Selection is a *value*: an :class:`Objective` names the DP mode (which
+recurrence runs), the selection rule (which outcome wins), and the
+constraints the rule applies (slack floor, power cap, noise
+requirement).  One objective travels unchanged through the Python API,
+batch configs, the service protocol, and the CLI ``--objective``
+grammar.  The paper's Problem 2 (max slack subject to noise) is
+``Objective(mode="buffopt", selection="max-slack")``; Problem 3 (fewest
+buffers meeting noise and timing) is the default ``Objective()``.
 
-The legacy surfaces remain as parity-pinned :class:`DeprecationWarning`
-shims (same treatment as the PR 5 facade): ``mode="buffopt"`` maps to
+:meth:`Objective.legacy` maps the two mode strings of protocol-v1
+requests and pre-objective checkpoints: ``"buffopt"`` to
 ``Objective(mode="buffopt", selection="fewest-buffers")`` and
-``mode="delay"`` to ``Objective(mode="delay", selection="max-slack",
-require_noise=False)`` — bit-identical by construction, enforced by
-tests.
+``"delay"`` to ``Objective(mode="delay", selection="max-slack",
+require_noise=False)``.  Legacy-shaped objectives keep the old
+fingerprint schemas, so stored state still matches.
 
 This module lives in ``repro.core`` (not ``repro.api``) because
 ``DPResult.select`` consumes objectives; ``repro.api`` re-exports
@@ -79,9 +77,9 @@ class Objective:
       service) reject it.
 
     ``require_noise`` overrides the default noise filter (which is
-    "noise-aware iff mode is buffopt"); the legacy delay path pinned
-    ``require_noise=False`` and its shim preserves that.  Tie-breaks
-    are fixed per rule and documented on the ``DPResult`` methods.
+    "noise-aware iff mode is buffopt"); the legacy delay objective pins
+    ``require_noise=False``.  Tie-breaks are fixed per rule and
+    documented on the ``DPResult`` methods.
     """
 
     mode: str = "buffopt"
@@ -147,7 +145,7 @@ class Objective:
         return self.selection in POWER_SELECTIONS
 
     def is_legacy(self) -> bool:
-        """True when this objective is exactly a legacy ``mode=`` shim.
+        """True when this objective is exactly a legacy mode string's.
 
         Legacy-shaped objectives serialize to the *old* request/config
         fingerprint schema so caches and checkpoints written before the
@@ -160,7 +158,8 @@ class Objective:
 
     @classmethod
     def legacy(cls, mode: str, min_slack: float = 0.0) -> "Objective":
-        """The objective the legacy ``mode=`` string stood for."""
+        """The objective a legacy mode string (``"buffopt"`` /
+        ``"delay"``) stands for."""
         if mode == "buffopt":
             return cls(
                 mode="buffopt",
@@ -239,9 +238,9 @@ class Objective:
             buffopt/power-capped/power_cap=2e-4
             delay/max-slack/min_slack=0.1/require_noise=false
 
-        A bare mode maps to its legacy default selection so
-        ``--objective buffopt`` means exactly what ``--mode buffopt``
-        meant.
+        A bare mode maps to :meth:`legacy`, so ``--objective delay``
+        is the DelayOpt baseline and ``--objective buffopt`` the
+        BuffOpt tool configuration.
         """
         if not isinstance(spec, str) or not spec.strip():
             raise ValueError("objective spec must be a non-empty string")

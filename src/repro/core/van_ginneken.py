@@ -12,15 +12,14 @@ shared DP engine with ``noise_aware=False``:
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional
 
 from ..library.buffers import BufferLibrary
 from ..library.cells import DriverCell
 from ..noise.coupling import CouplingModel
 from ..tree.topology import RoutingTree
-from .budget import RunBudget
 from .dp import DPOptions, DPResult, run_dp
+from .objective import Objective
 from .solution import BufferSolution
 
 
@@ -42,46 +41,8 @@ def optimize_delay(
         options=DPOptions(noise_aware=False, enforce_polarity=enforce_polarity),
         driver=driver,
     )
-    return result.solution(result._best())
-
-
-def delay_opt_result(
-    tree: RoutingTree,
-    library: BufferLibrary,
-    driver: Optional[DriverCell] = None,
-    max_buffers: Optional[int] = None,
-    enforce_polarity: bool = True,
-    prune: str = "timing",
-    collect_stats: bool = False,
-    budget: Optional[RunBudget] = None,
-    engine: str = "reference",
-) -> DPResult:
-    """Count-tracking DelayOpt run exposing the per-count outcomes.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.api.dp_result` with ``mode="delay"`` (or the
-        :class:`repro.api.Session` facade).  This shim forwards there
-        and returns bit-identical results — pinned by the parity tests.
-    """
-    warnings.warn(
-        "delay_opt_result is deprecated; use repro.api.dp_result("
-        "mode='delay') or repro.api.Session instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..api import dp_result
-
-    return dp_result(
-        tree,
-        library,
-        mode="delay",
-        driver=driver,
-        max_buffers=max_buffers,
-        enforce_polarity=enforce_polarity,
-        prune=prune,
-        collect_stats=collect_stats,
-        budget=budget,
-        engine=engine,
+    return result.solution(
+        result.select(Objective(mode="delay", selection="max-slack"))
     )
 
 
@@ -102,7 +63,7 @@ def optimize_delay_per_count(
     result = dp_result(
         tree,
         library,
-        mode="delay",
+        objective=Objective.legacy("delay"),
         driver=driver,
         max_buffers=max_buffers,
         enforce_polarity=enforce_polarity,

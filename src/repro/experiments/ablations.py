@@ -24,11 +24,16 @@ from typing import List, Optional, Sequence
 from ..core.dp import DPOptions, run_dp
 from ..core.noise_multi import insert_buffers_multi_sink
 from ..core.noise_sites import noise_aware_segmentation
+from ..core.objective import Objective
 from ..core.wire_sizing import WireSizingSpec
 from ..errors import InfeasibleError
 from ..tree.segmenting import segment_tree
 from ..units import PS, UM
 from .config import Experiment
+
+#: the two Algorithm-3 selections the ablations read off a DP result.
+MAX_SLACK = Objective(mode="buffopt", selection="max-slack")
+FEWEST_BUFFERS = Objective(mode="buffopt", selection="fewest-buffers")
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,8 @@ def pruning_ablation(
             seconds[rule] += time.perf_counter() - start
             kept[rule] += results[rule].candidates_kept_peak
         deltas.append(
-            results["pareto"]._best().slack - results["timing"]._best().slack
+            results["pareto"].select(MAX_SLACK).slack
+            - results["timing"].select(MAX_SLACK).slack
         )
     count = len(nets)
     return PruningAblation(
@@ -99,7 +105,7 @@ def segmentation_ablation(
                 tree, experiment.library, experiment.coupling,
                 DPOptions(noise_aware=True),
             )
-            slack_total += result._best().slack
+            slack_total += result.select(MAX_SLACK).slack
         points.append(
             SegmentationPoint(
                 max_segment=granularity,
@@ -140,7 +146,7 @@ def noise_sites_ablation(
                 sited, experiment.library, experiment.coupling,
                 DPOptions(noise_aware=True, track_counts=True, max_buffers=8),
             )
-            best = result._fewest_buffers()
+            best = result.select(FEWEST_BUFFERS)
         except InfeasibleError:
             continue
         usable += 1
@@ -183,7 +189,9 @@ def sizing_ablation(
             tree, experiment.library, experiment.coupling,
             DPOptions(noise_aware=True, sizing=spec),
         )
-        gains.append(sized._best().slack - plain._best().slack)
+        gains.append(
+            sized.select(MAX_SLACK).slack - plain.select(MAX_SLACK).slack
+        )
     return SizingAblation(
         nets=len(nets),
         mean_slack_gain=sum(gains) / len(nets),

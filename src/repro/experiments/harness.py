@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..api import dp_result
+from ..core.objective import Objective
 from ..core.solution import BufferSolution
 from ..core.van_ginneken import best_within_count
 from ..noise.devgan import noise_violations
@@ -21,6 +22,11 @@ from ..timing.elmore import max_sink_delay
 from ..tree.segmenting import segment_tree
 from ..tree.topology import RoutingTree
 from .config import Experiment
+
+#: the paper's two tool configurations: BuffOpt as shipped (Problem 3)
+#: and the DelayOpt baseline (max slack, noise ignored).
+BUFFOPT = Objective.legacy("buffopt")
+DELAYOPT = Objective.legacy("delay")
 
 
 @dataclass
@@ -133,7 +139,7 @@ def run_population(
 
         start = time.perf_counter()
         delay_result = dp_result(
-            tree, experiment.library, mode="delay",
+            tree, experiment.library, objective=DELAYOPT,
             max_buffers=max_delayopt_buffers, engine=experiment.engine,
         )
         for k in ks:
@@ -153,7 +159,7 @@ def run_population(
             for k in ks:
                 start = time.perf_counter()
                 dp_result(
-                    tree, experiment.library, mode="delay",
+                    tree, experiment.library, objective=DELAYOPT,
                     max_buffers=k, engine=experiment.engine,
                 )
                 per_k_totals[k] += time.perf_counter() - start
@@ -184,9 +190,9 @@ def _buffopt_fewest(tree: RoutingTree, experiment: Experiment) -> BufferSolution
         try:
             result = dp_result(
                 tree, experiment.library, experiment.coupling,
-                mode="buffopt", max_buffers=cap, engine=experiment.engine,
+                objective=BUFFOPT, max_buffers=cap, engine=experiment.engine,
             )
-            return result.solution(result._fewest_buffers())
+            return result.solution(result.select(BUFFOPT))
         except InfeasibleError:
             if cap is None:
                 raise
@@ -211,7 +217,7 @@ def matched_count_delays(
             matched_delay = record.delayopt_delay[count]
         else:
             delay_result = dp_result(
-                record.tree, experiment.library, mode="delay",
+                record.tree, experiment.library, objective=DELAYOPT,
                 max_buffers=count, engine=experiment.engine,
             )
             matched = best_within_count(delay_result, count)

@@ -57,6 +57,7 @@ from ..batch.optimizer import (
     NetResult,
     failure_net_result,
     item_identity,
+    objective_fingerprint,
     optimize_net,
 )
 from ..errors import ReproError, WorkloadError
@@ -229,7 +230,7 @@ def _fleet_item(setup: _FleetSetup, task: _FleetTask) -> _FleetNetOutcome:
 
         cert_coupling = (
             setup.coupling
-            if setup.batch.mode == "buffopt"
+            if setup.batch.objective.mode == "buffopt"
             else CouplingModel.silent()
         )
         true_slack = evaluate_assignment(
@@ -572,11 +573,10 @@ class FleetCoordinator:
         the same reason as in the batch fingerprint)."""
         batch = self.config.batch
         return {
-            "mode": batch.mode,
+            **objective_fingerprint(batch.objective),
             "max_segment_length": batch.max_segment_length,
             "max_buffers": batch.max_buffers,
             "prune": batch.prune,
-            "min_slack": batch.min_slack,
             "certify": batch.certify,
             "workload_seed": self.workload.seed,
             "sites_per_family": self.config.sites_per_family,
@@ -678,7 +678,7 @@ class FleetCoordinator:
         metrics = self.metrics
         if metrics is None:
             return
-        mode = self.config.batch.mode
+        mode = self.config.batch.objective.mode
         metrics.counter(
             FLEET_ROUNDS_COUNTER,
             "fleet price-update rounds executed",
@@ -808,7 +808,7 @@ class FleetCoordinator:
             "fleet",
             nets=len(units),
             sites=site_map.sites,
-            mode=self.config.batch.mode,
+            mode=self.config.batch.objective.mode,
             executor=executor_name,
         ):
             try:
@@ -878,7 +878,7 @@ class FleetCoordinator:
             dual_bound=dual_bound,
             wall_seconds=perf_counter() - start,
             executor=executor_name,
-            mode=self.config.batch.mode,
+            mode=self.config.batch.objective.mode,
         )
 
     def _round_targets(
@@ -991,7 +991,7 @@ class FleetCoordinator:
         Delay mode only — the inner DP is an exact slack maximizer
         there, which is what makes the relaxation a true bound.
         """
-        if self.config.batch.mode != "delay":
+        if self.config.batch.objective.mode != "delay":
             return None
         if not rounds or rounds[0].index != 0:
             return None

@@ -155,7 +155,7 @@ def audit_fleet(
         )
 
     cert_coupling = (
-        coupling if batch.mode == "buffopt" else CouplingModel.silent()
+        coupling if batch.objective.noise_aware else CouplingModel.silent()
     )
     for name in sorted(result.states):
         state = result.states[name]
@@ -185,7 +185,7 @@ def audit_fleet(
                 f"{state.result.buffer_count}"
             )
         if (
-            batch.mode == "buffopt"
+            batch.objective.mode == "buffopt"
             and certificate.noise_feasible != state.result.noise_feasible
         ):
             violations.append(
@@ -257,7 +257,7 @@ def audit_fleet(
 
     # 5. weak duality (delay mode).
     if (
-        batch.mode == "delay"
+        batch.objective.mode == "delay"
         and result.primal_total is not None
         and result.dual_bound is not None
         and result.primal_total

@@ -49,11 +49,10 @@ class LoadTestConfig:
     #: cache / coalescing path under concurrency.
     unique_nets: int = 32
     seed: int = 0
-    mode: str = "buffopt"
-    #: structured objective carried by every request; when set it
-    #: overrides ``mode`` (the mirror is pinned to ``objective.mode``)
-    #: and non-legacy shapes ride the protocol-v2 ``objective`` block.
-    objective: Optional[Objective] = None
+    #: structured objective carried by every request; legacy shapes
+    #: ride the protocol-v1 ``mode``/``min_slack`` fields, the rest the
+    #: protocol-v2 ``objective`` block.
+    objective: Objective = Objective()
     engine: str = "reference"
     #: sink counts cycle through this band (kept small: a load test
     #: measures the lifecycle, not the DP).
@@ -66,8 +65,6 @@ class LoadTestConfig:
     max_submit_attempts: int = 200
 
     def __post_init__(self) -> None:
-        if self.objective is not None:
-            object.__setattr__(self, "mode", self.objective.mode)
         if self.clients < 1:
             raise ServiceError(f"clients must be >= 1, got {self.clients}")
         if self.requests < 1:
@@ -100,11 +97,11 @@ class LoadTestConfig:
                 "max_candidates": self.max_candidates,
                 "wait": True,
             }
-            if self.objective is not None and not self.objective.is_legacy():
+            if not self.objective.is_legacy():
                 payload["objective"] = self.objective.to_json()
             else:
-                payload["mode"] = self.mode
-                if self.objective is not None and self.objective.min_slack:
+                payload["mode"] = self.objective.mode
+                if self.objective.min_slack:
                     payload["min_slack"] = self.objective.min_slack
             out.append(payload)
         return out

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..core.dp import ENGINE_CHOICES
-from ..core.objective import Objective
+from ..core.objective import OBJECTIVE_MODES, Objective
 from ..units import UM
 
 #: bump when the request/response schema changes incompatibly; echoed in
@@ -51,9 +51,6 @@ PROTOCOL_VERSION = 2
 #: the version-1 form, so resuming a v1 journal is exact, not a best
 #: effort.
 COMPATIBLE_PROTOCOLS = (1, 2)
-
-#: optimization modes the service accepts (mirrors the batch layer).
-MODES = ("buffopt", "delay")
 
 #: pruning rules the service accepts.
 PRUNE_CHOICES = ("timing", "pareto")
@@ -344,7 +341,9 @@ def parse_request(payload: Any) -> CanonicalRequest:
         kwargs["mode"] = objective.mode
         kwargs["min_slack"] = objective.min_slack
     if "mode" in payload:
-        kwargs["mode"] = _want_choice("mode", payload["mode"], MODES)
+        kwargs["mode"] = _want_choice(
+            "mode", payload["mode"], OBJECTIVE_MODES
+        )
     if "engine" in payload:
         kwargs["engine"] = _want_choice(
             "engine", payload["engine"], tuple(ENGINE_CHOICES)

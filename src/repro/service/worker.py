@@ -25,6 +25,7 @@ from typing import Any, Dict, Optional
 
 from ..batch.faults import FaultPlan
 from ..batch.optimizer import BatchConfig, _optimize_item, _WorkerSetup
+from ..core.objective import Objective
 from ..library.buffers import default_buffer_library
 from ..library.cells import default_cell_library
 from ..library.technology import default_technology
@@ -47,27 +48,15 @@ def batch_config_for(request: CanonicalRequest) -> BatchConfig:
 
     ``keep_trees=False``: the service ships assignments over the wire,
     never trees.  A v2 objective block passes through as the batch
-    objective; legacy requests keep the ``mode=`` path (which
-    ``BatchConfig`` resolves to the identical legacy objective).
+    objective; a v1 request's ``mode``/``min_slack`` map through
+    :meth:`~repro.core.objective.Objective.legacy`.
     """
-    if request.objective is not None:
-        return BatchConfig(
-            objective=request.objective,
-            max_segment_length=request.max_segment_length,
-            max_buffers=request.max_buffers,
-            prune=request.prune,
-            keep_trees=False,
-            net_deadline=request.deadline_seconds,
-            net_max_candidates=request.max_candidates,
-            certify=request.certify,
-            engine=request.engine,
-        )
     return BatchConfig(
-        mode=request.mode,
+        objective=request.objective
+        or Objective.legacy(request.mode, min_slack=request.min_slack),
         max_segment_length=request.max_segment_length,
         max_buffers=request.max_buffers,
         prune=request.prune,
-        min_slack=request.min_slack,
         keep_trees=False,
         net_deadline=request.deadline_seconds,
         net_max_candidates=request.max_candidates,

@@ -5,9 +5,10 @@ be enumerated: every assignment of (no buffer | one of ``b`` library
 buffers) to each of ``s`` sites is ``(b+1)^s`` cases, each evaluated by
 the independent certificate recursion (:mod:`.certificate`), never by
 the engine under test.  The resulting :class:`OracleResult` mirrors
-:class:`~repro.core.dp.DPResult`'s selection API (``best`` /
-``fewest_buffers`` / ``minimize_cost``) so the DP's answers can be
-checked for *optimality*, not mere feasibility.
+:class:`~repro.core.dp.DPResult`'s selection rules (max-slack as
+``best``, fewest-buffers, ``minimize_cost``, and the power rules) so
+the DP's answers can be checked for *optimality*, not mere
+feasibility.
 
 What may be asserted, and when:
 
@@ -28,6 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..core.objective import Objective
 from ..core.wire_sizing import WireSizingSpec, apply_wire_widths
 from ..errors import InfeasibleError, ReproError
 from ..library.buffers import BufferLibrary, BufferType
@@ -444,8 +446,12 @@ def compare_result_to_oracle(
         except InfeasibleError:
             return None
 
+    mode = "buffopt" if options.noise_aware else "delay"
+
     # -- best() ---------------------------------------------------------
-    dp_best = dp_select(result.best)
+    dp_best = dp_select(
+        result.select, Objective(mode=mode, selection="max-slack")
+    )
     oracle_best = oracle_select(oracle.best, options.noise_aware)
     if dp_best is not None and oracle_best is None:
         disagreements.append(OracleDisagreement(
@@ -474,7 +480,9 @@ def compare_result_to_oracle(
 
     # -- fewest_buffers(min_slack) --------------------------------------
     for min_slack in min_slacks:
-        dp_few = dp_select(result.fewest_buffers, min_slack)
+        dp_few = dp_select(result.select, Objective(
+            mode=mode, selection="fewest-buffers", min_slack=min_slack
+        ))
         oracle_few = oracle_select(oracle.fewest_buffers, min_slack,
                                    options.noise_aware)
         if dp_few is None or oracle_few is None:

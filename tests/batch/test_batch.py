@@ -15,6 +15,7 @@ from repro.batch import (
     optimize_net,
 )
 from repro.cli import main as cli_main
+from repro.core.objective import Objective
 from repro.core.stats import EngineStats
 from repro.library import (
     BufferType,
@@ -70,8 +71,8 @@ def _square(x):
 
 class TestBatchConfig:
     def test_rejects_unknown_mode(self):
-        with pytest.raises(WorkloadError):
-            BatchConfig(mode="noise")
+        with pytest.raises(ValueError, match="objective mode"):
+            BatchConfig(objective=Objective(mode="noise"))
 
     def test_rejects_bad_segment(self):
         with pytest.raises(WorkloadError):
@@ -236,6 +237,6 @@ class TestBatchCLI:
 
     def test_batch_delay_mode(self, capsys):
         code = cli_main(["batch", "--nets", "4", "--seed", "3",
-                         "--mode", "delay"])
+                         "--objective", "delay"])
         assert code == 0
         assert "mode=delay" in capsys.readouterr().out

@@ -16,6 +16,7 @@ from repro import CouplingModel, two_pin_net
 from repro.batch import BatchConfig, BatchOptimizer, optimize_net
 from repro.batch.checkpoint import result_from_json, result_to_json
 from repro.cli import main as cli_main
+from repro.core.objective import Objective
 from repro.errors import CertificateError
 from repro.library import (
     DriverCell,
@@ -42,7 +43,7 @@ class TestHappyPath:
     @pytest.mark.parametrize("mode", ["buffopt", "delay"])
     def test_all_nets_certify(self, mode):
         optimizer = BatchOptimizer(
-            config=BatchConfig(mode=mode, certify=True)
+            config=BatchConfig(objective=Objective.legacy(mode), certify=True)
         )
         report = optimizer.optimize([_net(f"n{i}") for i in range(3)])
         assert report.failure_count == 0

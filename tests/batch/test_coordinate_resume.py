@@ -20,9 +20,12 @@ from pathlib import Path
 import pytest
 
 from repro.batch import BatchConfig
+from repro.core.objective import Objective
 from repro.fleet import FleetConfig, FleetCoordinator, PriceSchedule
 from repro.units import PS
 from repro.workloads import WorkloadConfig, population_specs
+
+DELAY = Objective.legacy("delay")
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -33,7 +36,9 @@ SEED = 23
 #: to be killed after round 2 but converges eventually on resume.
 FLEET_KWARGS = (
     "config=FleetConfig(\n"
-    "    batch=BatchConfig(mode='delay', keep_trees=False),\n"
+    "    batch=BatchConfig(\n"
+    "        objective=Objective.legacy('delay'), keep_trees=False,\n"
+    "    ),\n"
     "    sites_per_family=4, base_capacity=1, max_rounds=20,\n"
     "    schedule=PriceSchedule(step=2e-12, growth=1.0),\n"
     "),\n"
@@ -44,7 +49,7 @@ FLEET_KWARGS = (
 def build_coordinator():
     return FleetCoordinator(
         config=FleetConfig(
-            batch=BatchConfig(mode="delay", keep_trees=False),
+            batch=BatchConfig(objective=DELAY, keep_trees=False),
             sites_per_family=4,
             base_capacity=1,
             max_rounds=20,
@@ -77,6 +82,7 @@ class TestSigkillFleetResume:
             "import sys\n"
             f"sys.path.insert(0, {REPO_SRC!r})\n"
             "from repro.batch import BatchConfig\n"
+            "from repro.core.objective import Objective\n"
             "from repro.fleet import (FleetConfig, FleetCoordinator,\n"
             "                         PriceSchedule)\n"
             "from repro.workloads import WorkloadConfig, population_specs\n"

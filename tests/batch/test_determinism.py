@@ -18,14 +18,17 @@ from repro.batch import (
     MultiprocessExecutor,
     SerialExecutor,
 )
+from repro.core.objective import Objective
 from repro.workloads import (
     WorkloadConfig,
     generate_net_from_spec,
     population_specs,
 )
 
+BUFFOPT = Objective.legacy("buffopt")
+
 WORKLOAD = WorkloadConfig(nets=16, seed=20260805)
-CONFIG = BatchConfig(mode="buffopt", max_buffers=4, keep_trees=False)
+CONFIG = BatchConfig(objective=BUFFOPT, max_buffers=4, keep_trees=False)
 
 
 def _optimizer(executor):

@@ -28,14 +28,16 @@ from repro.batch import (
     MultiprocessExecutor,
     SerialExecutor,
 )
-from repro.core.noise_delay import buffopt_result
-from repro.core.van_ginneken import delay_opt_result
+from repro.api import dp_result
+from repro.core.objective import Objective
 from repro.library import default_buffer_library
 from repro.units import MM
 
 COUPLING = CouplingModel.estimation_mode(TECH)
 LIBRARY = default_buffer_library()
 SEGMENT = 0.8 * MM
+BUFFOPT = Objective.legacy("buffopt")
+DELAY = Objective.legacy("delay")
 FLEET_SIZE = 50
 
 _COLLECTED: list = []
@@ -67,11 +69,11 @@ def _direct_signature(tree, mode):
     segmented = segment_tree(tree, SEGMENT)
     try:
         if mode == "buffopt":
-            result = buffopt_result(segmented, LIBRARY, COUPLING)
-            outcome = result.fewest_buffers()
+            result = dp_result(segmented, LIBRARY, COUPLING)
+            outcome = result.select(BUFFOPT)
         else:
-            result = delay_opt_result(segmented, LIBRARY)
-            outcome = result.best(require_noise=False)
+            result = dp_result(segmented, LIBRARY, objective=DELAY)
+            outcome = result.select(DELAY)
     except InfeasibleError:
         return ("infeasible",)
     return (
@@ -103,7 +105,9 @@ def _run_batch(trees, mode, executor):
         library=LIBRARY,
         coupling=COUPLING,
         config=BatchConfig(
-            mode=mode, max_segment_length=SEGMENT, keep_trees=False
+            objective=Objective.legacy(mode),
+            max_segment_length=SEGMENT,
+            keep_trees=False,
         ),
         executor=executor,
     )
@@ -141,7 +145,7 @@ def test_stats_collection_is_solution_neutral(trees):
         library=LIBRARY,
         coupling=COUPLING,
         config=BatchConfig(
-            mode="buffopt",
+            objective=Objective.legacy("buffopt"),
             max_segment_length=SEGMENT,
             keep_trees=False,
             collect_stats=True,

@@ -14,6 +14,7 @@ every recovery feature at once.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import subprocess
@@ -90,6 +91,21 @@ class TestResumeMatrix:
         assert signatures[HEAD:] == full_signatures[engine][HEAD:]
 
 
+def kill_group(process, timeout=30.0):
+    """SIGKILL ``process``'s whole group and wait until it is gone."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(process.pid, signal.SIGKILL)
+    process.wait()
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(process.pid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.01)
+    pytest.fail(f"process group {process.pid} outlived its SIGKILL")
+
+
 class TestSigkillLegs:
     """One SIGKILL leg per executor, over sharded checkpoints, resumed
     under a different shard count."""
@@ -120,7 +136,10 @@ class TestSigkillLegs:
             ").optimize_specs(population_specs(w),\n"
             f"    checkpoint={str(directory)!r}, shards=4)\n"
         )
-        process = subprocess.Popen([sys.executable, "-c", script])
+        # Its own session, so one killpg takes the pool workers too.
+        process = subprocess.Popen(
+            [sys.executable, "-c", script], start_new_session=True
+        )
         try:
             deadline = time.monotonic() + 90.0
             while time.monotonic() < deadline:
@@ -135,9 +154,8 @@ class TestSigkillLegs:
                 time.sleep(0.005)
             else:
                 pytest.fail("shards never reached 5 results")
-            os.kill(process.pid, signal.SIGKILL)
         finally:
-            process.wait()
+            kill_group(process)
 
         workload = WorkloadConfig(nets=self.NETS, seed=self.SEED)
         specs = population_specs(workload)

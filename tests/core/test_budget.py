@@ -20,9 +20,9 @@ from repro import (
     TimeoutError,
     two_pin_net,
 )
+from repro.api import dp_result
 from repro.core.dp import DPOptions
-from repro.core.noise_delay import buffopt_result
-from repro.core.van_ginneken import delay_opt_result
+from repro.core.objective import Objective
 from repro.library import DriverCell, default_buffer_library, default_technology
 from repro.noise import CouplingModel
 from repro.tree import segment_tree
@@ -107,7 +107,7 @@ class TestDPIntegration:
 
     def test_tiny_candidate_budget_trips(self):
         with pytest.raises(BudgetExceededError):
-            buffopt_result(
+            dp_result(
                 _tree(),
                 default_buffer_library(),
                 COUPLING,
@@ -119,15 +119,16 @@ class TestDPIntegration:
         budget.start()
         time.sleep(0.01)
         with pytest.raises(TimeoutError):
-            buffopt_result(
+            dp_result(
                 _tree(), default_buffer_library(), COUPLING, budget=budget
             )
 
     def test_delay_engine_honors_budget_too(self):
         with pytest.raises(BudgetExceededError):
-            delay_opt_result(
+            dp_result(
                 _tree(),
                 default_buffer_library(),
+                objective=Objective.legacy("delay"),
                 budget=RunBudget(max_candidates=5),
             )
 
@@ -135,23 +136,24 @@ class TestDPIntegration:
         # The guard must observe, never steer: same tree, with and
         # without a (large) budget, must agree on every outcome field.
         tree_a, tree_b = _tree(), _tree()
-        bare = buffopt_result(tree_a, default_buffer_library(), COUPLING)
-        guarded = buffopt_result(
+        bare = dp_result(tree_a, default_buffer_library(), COUPLING)
+        guarded = dp_result(
             tree_b,
             default_buffer_library(),
             COUPLING,
             budget=RunBudget(deadline_seconds=3600.0, max_candidates=10**9),
         )
         assert bare.candidates_generated == guarded.candidates_generated
-        bare_best = bare.best()
-        guarded_best = guarded.best()
+        max_slack = Objective(selection="max-slack")
+        bare_best = bare.select(max_slack)
+        guarded_best = guarded.select(max_slack)
         assert bare_best.buffer_count == guarded_best.buffer_count
         assert bare_best.slack == guarded_best.slack
         assert bare_best.insertions == guarded_best.insertions
 
     def test_stats_carry_budget_telemetry(self):
         budget = RunBudget(deadline_seconds=3600.0, max_candidates=10**9)
-        result = buffopt_result(
+        result = dp_result(
             _tree(),
             default_buffer_library(),
             COUPLING,
@@ -165,7 +167,7 @@ class TestDPIntegration:
         assert "budget:" in stats.describe()
 
     def test_stats_silent_without_budget(self):
-        result = buffopt_result(
+        result = dp_result(
             _tree(), default_buffer_library(), COUPLING, collect_stats=True
         )
         assert result.stats.budget_checks == 0

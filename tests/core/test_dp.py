@@ -15,6 +15,7 @@ from repro import (
     BufferType,
     DPOptions,
     InfeasibleError,
+    Objective,
     TreeBuilder,
     run_dp,
     segment_tree,
@@ -24,6 +25,11 @@ from repro.core.dp import DPCandidate, _Engine
 from repro.noise import has_noise_violation
 from repro.timing import source_slack
 from repro.units import FF, MM, NS, PS
+
+#: max slack over every outcome, noise feasible or not.
+BEST_ANY = Objective(mode="delay", selection="max-slack", require_noise=False)
+#: max slack under the run's own noise filter.
+MAX_SLACK = Objective(selection="max-slack")
 
 
 def brute_force_best(tree, library, coupling=None, noise=False):
@@ -64,14 +70,14 @@ class TestAgainstBruteForce:
         library = single_buffer_library(single_buffer)
         result = run_dp(small_net, library, silent)
         expected_slack, _ = brute_force_best(small_net, library)
-        got = result.best(require_noise=False)
+        got = result.select(BEST_ANY)
         assert math.isclose(got.slack, expected_slack, rel_tol=1e-12)
 
     def test_delay_only_two_buffers(self, small_net, tiny_lib, silent):
         result = run_dp(small_net, tiny_lib, silent)
         expected_slack, _ = brute_force_best(small_net, tiny_lib)
         assert math.isclose(
-            result.best(require_noise=False).slack, expected_slack, rel_tol=1e-12
+            result.select(BEST_ANY).slack, expected_slack, rel_tol=1e-12
         )
 
     def test_delay_only_branching_tree(self, tech, driver, tiny_lib, silent):
@@ -89,7 +95,7 @@ class TestAgainstBruteForce:
         result = run_dp(tree, tiny_lib, silent)
         expected_slack, _ = brute_force_best(tree, tiny_lib)
         assert math.isclose(
-            result.best(require_noise=False).slack, expected_slack, rel_tol=1e-12
+            result.select(BEST_ANY).slack, expected_slack, rel_tol=1e-12
         )
 
     def test_noise_constrained_single_buffer(
@@ -109,7 +115,7 @@ class TestAgainstBruteForce:
             net, library, coupling, noise=True
         )
         assert expected_assignment is not None
-        got = result.best()
+        got = result.select(MAX_SLACK)
         assert math.isclose(got.slack, expected_slack, rel_tol=1e-12)
         solution = result.solution(got)
         assert not has_noise_violation(net, coupling, solution.buffer_map())
@@ -196,7 +202,10 @@ class TestOptions:
                         DPOptions(noise_aware=True, prune="timing"))
         pareto = run_dp(net, tiny_lib, coupling,
                         DPOptions(noise_aware=True, prune="pareto"))
-        assert pareto.best().slack >= timing.best().slack - 1e-15
+        assert (
+            pareto.select(MAX_SLACK).slack
+            >= timing.select(MAX_SLACK).slack - 1e-15
+        )
         assert pareto.candidates_kept_peak >= timing.candidates_kept_peak
 
     def test_missing_driver_raises(self, tech, tiny_lib, silent):

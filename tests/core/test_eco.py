@@ -23,9 +23,12 @@ from repro.core import (
     subtree_fingerprints,
 )
 from repro.core.eco import context_key
+from repro.core.objective import Objective
 from repro.obs import MetricsRegistry
 from repro.tree.segmenting import segment_tree
 from repro.units import FF, PS, UM
+
+DELAY = Objective.legacy("delay")
 
 
 def balanced_tree(depth: int = 4, name: str = "eco_net"):
@@ -74,7 +77,7 @@ def run_pair(tree, library, coupling, cache=None, **kwargs):
 
 def result_key(result):
     """Everything a bit-identity claim covers, telemetry included."""
-    outcome = result.best(require_noise=False)
+    outcome = result.select(DELAY)
     return (
         outcome.slack,
         outcome.buffer_count,
@@ -167,10 +170,10 @@ class TestBitIdentity:
 
     def test_delay_mode_also_identical(self, library):
         tree = segment_tree(balanced_tree(), 500 * UM)
-        cold = dp_result(tree, library, None, mode="delay")
+        cold = dp_result(tree, library, None, objective=DELAY)
         cache = FrontierCache()
         warm = dp_result(
-            tree, library, None, mode="delay", frontier_cache=cache
+            tree, library, None, objective=DELAY, frontier_cache=cache
         )
         assert result_key(warm) == result_key(cold)
 

@@ -7,8 +7,9 @@ from repro import (
     InfeasibleError,
     analyze_noise,
     buffopt,
+    Objective,
     buffopt_min_buffers,
-    buffopt_result,
+    dp_result,
     optimize_delay,
     segment_tree,
     two_pin_net,
@@ -70,8 +71,8 @@ class TestProblem3:
         assert not has_noise_violation(net, coupling, solution.buffer_map())
 
     def test_fewest_buffers_minimal_among_outcomes(self, net, library, coupling):
-        result = buffopt_result(net, library, coupling)
-        fewest = result.fewest_buffers(min_slack=0.0)
+        result = dp_result(net, library, coupling)
+        fewest = result.select(Objective(selection="fewest-buffers"))
         meeting = [o for o in result.outcomes if o.slack >= 0.0]
         assert meeting
         assert fewest.buffer_count == min(o.buffer_count for o in meeting)
@@ -94,12 +95,12 @@ class TestProblem3:
         )
         solution = buffopt_min_buffers(net, library, coupling)
         assert not has_noise_violation(net, coupling, solution.buffer_map())
-        result = buffopt_result(net, library, coupling)
-        best = result.best()
+        result = dp_result(net, library, coupling)
+        best = result.select(Objective(selection="max-slack"))
         assert solution.buffer_count == best.buffer_count
 
     def test_count_cap_respected(self, net, library, coupling):
-        result = buffopt_result(net, library, coupling, max_buffers=3)
+        result = dp_result(net, library, coupling, max_buffers=3)
         assert all(o.buffer_count <= 3 for o in result.outcomes)
 
 

@@ -1,60 +1,50 @@
-"""The unified Objective API and its parity-pinned legacy shims.
+"""The unified Objective API and its compatibility with stored state.
 
-Satellite contracts of the Objective redesign:
+Contracts pinned here:
 
 * the :class:`~repro.core.objective.Objective` grammar —
   ``parse``/``describe`` round-trips, ``to_json``/``from_json`` with
   unknown-key rejection, the exact legacy mapping;
-* every deprecated spelling (``dp_result(mode=...)``,
-  ``SessionOptions(mode=...)``, ``DPResult.best`` /
-  ``fewest_buffers`` / ``minimize_cost``) warns *and* stays
-  bit-identical to its Objective-spelled twin — shims forward, they do
-  not fork;
-* ``BatchConfig`` resolution: mode/objective mutual exclusion,
-  pareto rejection, and the checkpoint-fingerprint schema stability
-  that lets pre-objective journals resume (legacy-shaped objectives
-  emit no ``"objective"`` key).
+* every config defaults to ``Objective()``, the legacy buffopt
+  objective;
+* ``BatchConfig`` rejects the ``pareto`` selection;
+* golden compatibility: a legacy-shaped objective still writes the
+  exact pre-objective batch and fleet checkpoint fingerprints, and a
+  protocol-v1 request keeps its cache fingerprint — literals captured
+  before the legacy ``mode=`` spelling was removed;
+* no package path warns: a v1 service request and a population run
+  complete under ``DeprecationWarning``-as-error.
 """
 
-import pathlib
-import sys
+import json
+import warnings
 
 import pytest
 
-_HERE = pathlib.Path(__file__).resolve().parent
-sys.path.insert(0, str(_HERE))
-
-from repro import (  # noqa: E402
-    CouplingModel,
-    default_buffer_library,
-    default_technology,
-)
-from repro.api import (  # noqa: E402
-    Session,
-    SessionOptions,
-    dp_result,
-    resolve_objective,
-)
-from repro.batch.optimizer import BatchConfig  # noqa: E402
-from repro.core.objective import (  # noqa: E402
+from repro.api import SessionOptions
+from repro.batch.optimizer import BatchConfig, BatchOptimizer
+from repro.core.objective import (
     OBJECTIVE_MODES,
     POWER_SELECTIONS,
     SELECTION_RULES,
     Objective,
 )
-from repro.errors import WorkloadError  # noqa: E402
-from repro.verify.treegen import seeded_tree  # noqa: E402
+from repro.errors import WorkloadError
+from repro.experiments import default_experiment
+from repro.experiments.harness import run_population
+from repro.fleet import FleetConfig, FleetCoordinator
+from repro.service.loadtest import LoadTestConfig
+from repro.service.protocol import parse_request
+from repro.service.worker import WorkPayload, execute_request
+from repro.workloads import WorkloadConfig, population_specs
 
-LIBRARY = default_buffer_library()
-COUPLING = CouplingModel.estimation_mode(default_technology())
+WORKLOAD = WorkloadConfig(nets=4, seed=11)
 
-
-def _signature(result):
-    return tuple(
-        (o.buffer_count, o.slack, o.noise_feasible, o.power,
-         tuple(sorted((i.node, i.buffer.name) for i in o.insertions)))
-        for o in result.outcomes
-    )
+#: a protocol-v1 request: top-level ``mode``, no ``objective`` block.
+V1_REQUEST = {
+    "net": {"name": "golden", "sink_count": 3, "span": 0.001, "seed": 1},
+    "mode": "delay",
+}
 
 
 class TestGrammar:
@@ -143,100 +133,13 @@ class TestGrammar:
 
 
 class TestResolveObjective:
-    def test_conflicting_mode_and_objective_rejected(self):
-        with pytest.raises(ValueError, match="conflicts"):
-            resolve_objective(
-                "delay", Objective.legacy("buffopt"), owner="test"
-            )
-
-    def test_matching_mode_alongside_objective_is_tolerated(self):
-        objective = Objective.legacy("delay")
-        assert resolve_objective("delay", objective, owner="test") \
-            is objective
-
-    def test_bare_mode_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="objective"):
-            resolved = resolve_objective("delay", None, owner="test")
-        assert resolved == Objective.legacy("delay")
-
     def test_neither_defaults_to_buffopt(self):
-        assert resolve_objective(None, None, owner="test") == \
-            Objective.legacy("buffopt")
-
-
-class TestShimParity:
-    """Deprecated spellings warn and stay bit-identical."""
-
-    def test_dp_result_mode_kwarg(self):
-        for mode in ("delay", "buffopt"):
-            for seed in range(5):
-                tree = seeded_tree(seed, max_internal=4, with_rats=True)
-                with pytest.warns(DeprecationWarning):
-                    legacy = dp_result(tree, LIBRARY, COUPLING, mode=mode)
-                modern = dp_result(
-                    tree, LIBRARY, COUPLING,
-                    objective=Objective.legacy(mode),
-                )
-                assert _signature(legacy) == _signature(modern), (
-                    f"{mode} seed {seed}"
-                )
-
-    def test_dp_result_selection_shims(self):
-        tree = seeded_tree(3, max_internal=4, with_rats=True)
-        result = dp_result(
-            tree, LIBRARY, COUPLING, objective=Objective.legacy("buffopt")
-        )
-        with pytest.warns(DeprecationWarning, match="max-slack"):
-            best = result.best()
-        assert best == result.select(
-            Objective(mode="buffopt", selection="max-slack")
-        )
-        with pytest.warns(DeprecationWarning, match="fewest-buffers"):
-            fewest = result.fewest_buffers()
-        assert fewest == result.select(Objective.legacy("buffopt"))
-        with pytest.warns(DeprecationWarning):
-            cheapest = result.minimize_cost(lambda buffer: 1.0)
-        assert cheapest == fewest
-
-    def test_session_options_mode_kwarg(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = SessionOptions(mode="delay")
-        modern = SessionOptions(objective=Objective.legacy("delay"))
-        assert legacy.objective == modern.objective
-        assert legacy.mode == "delay"
-
-    def test_session_runs_identical_under_both_spellings(self):
-        tree = seeded_tree(7, max_internal=4, with_rats=True)
-        solutions = []
-        for options in (
-            SessionOptions(objective=Objective.legacy("buffopt")),
-        ):
-            with Session(options, library=LIBRARY, coupling=COUPLING) \
-                    as session:
-                solutions.append(
-                    session.optimize(tree).solution().assignment
-                )
-        with pytest.warns(DeprecationWarning):
-            options = SessionOptions(mode="buffopt")
-        with Session(options, library=LIBRARY, coupling=COUPLING) as session:
-            solutions.append(session.optimize(tree).solution().assignment)
-        assert solutions[0] == solutions[1]
+        assert Objective() == Objective.legacy("buffopt")
+        for config in (SessionOptions(), BatchConfig(), LoadTestConfig()):
+            assert config.objective == Objective.legacy("buffopt")
 
 
 class TestBatchConfigObjective:
-    def test_objective_pins_the_legacy_mirrors(self):
-        objective = Objective(
-            mode="delay", selection="min-power", min_slack=0.05
-        )
-        config = BatchConfig(objective=objective)
-        assert config.objective == objective
-        assert config.mode == "delay"
-        assert config.min_slack == 0.05
-
-    def test_conflicting_mode_and_objective_rejected(self):
-        with pytest.raises(WorkloadError, match="conflicts"):
-            BatchConfig(mode="delay", objective=Objective.legacy("buffopt"))
-
     def test_pareto_objective_rejected(self):
         with pytest.raises(WorkloadError, match="pareto"):
             BatchConfig(
@@ -244,28 +147,66 @@ class TestBatchConfigObjective:
             )
 
     def test_legacy_objectives_keep_the_pre_objective_fingerprint(self):
-        """Checkpoints journaled before the Objective API must resume:
-        a legacy-shaped objective emits the exact old schema."""
-        from repro.batch.optimizer import BatchOptimizer
-        from repro.workloads import WorkloadConfig
+        """Checkpoints, fleet journals and service caches written before
+        the Objective API must still match: legacy-shaped objectives
+        emit the exact old schemas, pinned as literals."""
+        delay = Objective.legacy("delay")
+        assert BatchOptimizer(
+            config=BatchConfig(objective=delay), workload=WORKLOAD
+        )._fingerprint() == {
+            "mode": "delay",
+            "max_segment_length": 0.0005,
+            "max_buffers": None,
+            "prune": "timing",
+            "min_slack": 0.0,
+            "certify": False,
+            "workload_seed": 11,
+            "workload_nets": 4,
+        }
 
-        workload = WorkloadConfig(nets=4, seed=11)
-        with pytest.warns(DeprecationWarning):
-            old = BatchOptimizer(
-                config=BatchConfig(mode="delay"), workload=workload
-            )._fingerprint()
-        new = BatchOptimizer(
-            config=BatchConfig(objective=Objective.legacy("delay")),
-            workload=workload,
-        )._fingerprint()
-        assert old == new
-        assert "objective" not in new
+        fleet = FleetCoordinator(
+            config=FleetConfig(batch=BatchConfig(objective=delay)),
+            workload=WORKLOAD,
+        )
+        header = fleet._fingerprint(
+            fleet.site_map_for(population_specs(WORKLOAD))
+        )
+        assert json.dumps(header, sort_keys=True) == (
+            '{"capacities": [2, 2, 2, 2, 2, 2, 2, 2], "certify": false, '
+            '"families": 1, "growth": 2.0, "max_buffers": null, '
+            '"max_rounds": 25, "max_segment_length": 0.0005, '
+            '"min_slack": 0.0, "mode": "delay", "patience": 2, '
+            '"prune": "timing", "salt": "6c24ee0841e5a196", '
+            '"sites_per_family": 8, "step": 1e-12, "workload_seed": 11}'
+        )
+
+        assert parse_request(V1_REQUEST).fingerprint() == (
+            "f33b7e29f444ff9444b04c1cce64fa133e56828a1be6e30d0e35fffe0501bcc3"
+        )
+
+        # any other objective is part of the solution and joins the key
         modern = BatchOptimizer(
             config=BatchConfig(objective=Objective(
                 mode="delay", selection="min-power"
             )),
-            workload=workload,
+            workload=WORKLOAD,
         )._fingerprint()
         assert modern["objective"] == {
             "mode": "delay", "selection": "min-power"
         }
+
+
+class TestNoDeprecationWarnings:
+    """The package's own paths run on the one objective surface."""
+
+    def test_v1_service_request(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            record = execute_request(WorkPayload(parse_request(V1_REQUEST)))
+        assert record["result"]["ok"]
+
+    def test_population_run(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            run = run_population(default_experiment(nets=2), ks=(1,))
+        assert len(run.records) == 2

@@ -3,17 +3,21 @@
 ``minimize_cost`` searches the count-indexed frontier: exact for uniform
 costs (where it reduces to Problem 3), the standard frontier heuristic
 for non-uniform costs.  These tests pin the tie-breaking rules and the
-fallback paths, plus ``best(require_noise=True)`` on nets where no
-noise-feasible outcome exists at all.
+fallback paths, plus the max-slack selection with ``require_noise=True``
+on nets where no noise-feasible outcome exists at all.
 """
 
 import pytest
 
-from repro.core.noise_delay import buffopt_result
-from repro.core.van_ginneken import delay_opt_result
+from repro.api import dp_result
+from repro.core.objective import Objective
 from repro.errors import InfeasibleError
 from repro.tree import two_pin_net
 from repro.units import FF, PS, UM
+
+#: max slack over every outcome, noise feasible or not.
+BEST_ANY = Objective(mode="delay", selection="max-slack", require_noise=False)
+FEWEST = Objective(selection="fewest-buffers")
 
 
 @pytest.fixture
@@ -24,7 +28,7 @@ def frontier(tech, driver, library):
         noise_margin=0.8, required_arrival=1500 * PS, segments=5,
         name="frontier_host",
     )
-    result = delay_opt_result(net, library)
+    result = dp_result(net, library, objective=Objective.legacy("delay"))
     assert len({o.buffer_count for o in result.outcomes}) >= 3
     return result
 
@@ -36,15 +40,15 @@ def _total(outcome, cost):
 class TestMinimizeCost:
     def test_uniform_cost_reduces_to_fewest_buffers(self, frontier):
         chosen = frontier.minimize_cost(lambda b: 1.0)
-        reference = frontier.fewest_buffers()
+        reference = frontier.select(FEWEST)
         assert chosen.buffer_count == reference.buffer_count
         assert chosen.slack == reference.slack
 
     def test_zero_cost_tie_breaks_on_slack(self, frontier):
         # every meeting outcome costs 0.0; the -slack tie-break must
-        # pick the max-slack one, i.e. agree with best()
+        # pick the max-slack one, i.e. agree with the max-slack rule
         chosen = frontier.minimize_cost(lambda b: 0.0)
-        assert chosen.slack == frontier.best(require_noise=False).slack
+        assert chosen.slack == frontier.select(BEST_ANY).slack
 
     def test_nonuniform_cost_beats_slack_driven_selections(self, frontier):
         def area(buffer):
@@ -52,8 +56,8 @@ class TestMinimizeCost:
 
         chosen = frontier.minimize_cost(area)
         assert chosen.slack >= 0.0
-        best = frontier.best(require_noise=False)
-        fewest = frontier.fewest_buffers()
+        best = frontier.select(BEST_ANY)
+        fewest = frontier.select(FEWEST)
         assert _total(chosen, area) <= _total(best, area)
         assert _total(chosen, area) <= _total(fewest, area)
         # and it is the frontier-wide minimum among meeting outcomes
@@ -74,7 +78,7 @@ class TestMinimizeCost:
 
     def test_unreachable_min_slack_falls_back_to_best(self, frontier):
         fallback = frontier.minimize_cost(lambda b: 1.0, min_slack=1.0)
-        assert fallback.slack == frontier.best(require_noise=False).slack
+        assert fallback.slack == frontier.select(BEST_ANY).slack
         assert fallback.slack < 1.0
 
 
@@ -87,15 +91,19 @@ class TestRequireNoise:
             noise_margin=1e-9, required_arrival=2000 * PS, segments=4,
             name="hopeless_noise",
         )
-        return buffopt_result(net, library, coupling)
+        return dp_result(net, library, coupling)
 
     def test_best_raises_without_noise_feasible_outcome(self, hopeless):
         with pytest.raises(InfeasibleError, match="no noise-feasible"):
-            hopeless.best(require_noise=True)
+            hopeless.select(
+                Objective(selection="max-slack", require_noise=True)
+            )
 
     def test_fewest_and_cost_raise_too(self, hopeless):
         with pytest.raises(InfeasibleError):
-            hopeless.fewest_buffers(require_noise=True)
+            hopeless.select(
+                Objective(selection="fewest-buffers", require_noise=True)
+            )
         with pytest.raises(InfeasibleError):
             hopeless.minimize_cost(lambda b: 1.0, require_noise=True)
 
@@ -107,17 +115,17 @@ class TestRequireNoise:
         # remediation path is a delay-mode rerun
         assert hopeless.outcomes == ()
         with pytest.raises(InfeasibleError):
-            hopeless.best(require_noise=False)
+            hopeless.select(BEST_ANY)
         net = two_pin_net(
             tech, 8000 * UM, driver, sink_capacitance=20 * FF,
             noise_margin=1e-9, required_arrival=2000 * PS, segments=4,
         )
-        assert delay_opt_result(net, library).best(
-            require_noise=False
-        ) is not None
+        assert dp_result(
+            net, library, objective=Objective.legacy("delay")
+        ).select(BEST_ANY) is not None
 
     def test_best_tie_breaks_on_fewer_buffers(self, frontier):
-        best = frontier.best(require_noise=False)
+        best = frontier.select(BEST_ANY)
         for outcome in frontier.outcomes:
             assert outcome.slack <= best.slack
             if outcome.slack == best.slack:

@@ -5,9 +5,12 @@ import math
 import pytest
 
 from repro import optimize_delay, optimize_delay_per_count, two_pin_net
-from repro.core import best_within_count, delay_opt_result
+from repro.api import dp_result
+from repro.core import Objective, best_within_count
 from repro.timing import max_sink_delay, source_slack
 from repro.units import FF, MM, NS
+
+DELAY = Objective.legacy("delay")
 
 
 @pytest.fixture
@@ -49,7 +52,7 @@ class TestPerCount:
 
     def test_slack_improves_weakly_with_count(self, net, library):
         """More allowed buffers can only help (per-count best slacks)."""
-        result = delay_opt_result(net, library, max_buffers=4)
+        result = dp_result(net, library, objective=DELAY, max_buffers=4)
         slacks = {o.buffer_count: o.slack for o in result.outcomes}
         best_so_far = -math.inf
         for k in sorted(slacks):
@@ -59,7 +62,7 @@ class TestPerCount:
             assert source_slack(net, within.buffer_map()) >= best_so_far - 1e-12
 
     def test_best_within_count_monotone(self, net, library):
-        result = delay_opt_result(net, library, max_buffers=4)
+        result = dp_result(net, library, objective=DELAY, max_buffers=4)
         delays = [
             max_sink_delay(net, best_within_count(result, k).buffer_map())
             for k in range(1, 5)
@@ -68,7 +71,7 @@ class TestPerCount:
             assert b <= a + 1e-15
 
     def test_best_within_count_rejects_empty(self, net, library):
-        result = delay_opt_result(net, library, max_buffers=2)
+        result = dp_result(net, library, objective=DELAY, max_buffers=2)
         with pytest.raises(ValueError):
             # counts above the cap were never generated, but 0 always is;
             # ask for a negative bound to force the error path

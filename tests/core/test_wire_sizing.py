@@ -12,12 +12,16 @@ from repro import (
     run_dp,
     two_pin_net,
 )
-from repro.core import WireSizingSpec, apply_wire_widths
+from repro.api import dp_result
+from repro.core import Objective, WireSizingSpec, apply_wire_widths
 from repro.core.wire_sizing import WireChoice
 from repro.library import single_buffer_library
 from repro.noise import has_noise_violation
 from repro.timing import source_slack
 from repro.units import FF, MM, NS
+
+#: max slack over every outcome, noise feasible or not.
+BEST_ANY = Objective(mode="delay", selection="max-slack", require_noise=False)
 
 
 @pytest.fixture
@@ -90,8 +94,8 @@ class TestSizedDP:
         library = single_buffer_library(single_buffer)
         plain = run_dp(net, library, silent)
         sized = run_dp(net, library, silent, DPOptions(sizing=spec))
-        assert sized.best(require_noise=False).slack >= (
-            plain.best(require_noise=False).slack - 1e-15
+        assert sized.select(BEST_ANY).slack >= (
+            plain.select(BEST_ANY).slack - 1e-15
         )
 
     def test_outcome_matches_independent_analysis(
@@ -134,7 +138,7 @@ class TestSizedDP:
                 }
                 best = max(best, source_slack(resized, assignment))
         assert math.isclose(
-            result.best(require_noise=False).slack, best, rel_tol=1e-12
+            result.select(BEST_ANY).slack, best, rel_tol=1e-12
         )
 
     def test_noise_aware_sized_outcomes_clean(
@@ -169,7 +173,7 @@ class TestSizedDP:
     def test_sized_solution_without_sizing_is_copy(self, net, single_buffer, silent):
         library = single_buffer_library(single_buffer)
         result = run_dp(net, library, silent)
-        outcome = result.best(require_noise=False)
+        outcome = result.select(BEST_ANY)
         resized, solution = result.sized_solution(outcome)
         assert math.isclose(
             resized.total_capacitance(), net.total_capacitance()
@@ -178,17 +182,13 @@ class TestSizedDP:
 
 class TestMinimizeCost:
     def test_uniform_cost_equals_fewest_buffers(self, net, coupling, library):
-        from repro.core import buffopt_result
-
-        result = buffopt_result(net, library, coupling)
+        result = dp_result(net, library, coupling)
         by_cost = result.minimize_cost(lambda b: 1.0, min_slack=0.0)
-        by_count = result.fewest_buffers(min_slack=0.0)
+        by_count = result.select(Objective(selection="fewest-buffers"))
         assert by_cost.buffer_count == by_count.buffer_count
 
     def test_area_cost_prefers_smaller_buffers(self, net, coupling, library):
-        from repro.core import buffopt_result
-
-        result = buffopt_result(net, library, coupling)
+        result = dp_result(net, library, coupling)
         outcome = result.minimize_cost(
             lambda b: b.input_capacitance, min_slack=0.0
         )
@@ -201,9 +201,7 @@ class TestMinimizeCost:
                 assert total <= other_total + 1e-18
 
     def test_infeasible_slack_falls_back(self, net, coupling, library):
-        from repro.core import buffopt_result
-
-        result = buffopt_result(net, library, coupling)
+        result = dp_result(net, library, coupling)
         outcome = result.minimize_cost(lambda b: 1.0, min_slack=1e9)
-        best = result.best()
+        best = result.select(Objective(selection="max-slack"))
         assert outcome.slack == best.slack

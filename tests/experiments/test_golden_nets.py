@@ -10,17 +10,16 @@ workload (seed 19981101, the population behind Tables I/II).
 If an intentional algorithmic change moves them, re-derive with::
 
     PYTHONPATH=src python - <<'PY'
-    from repro import segment_tree
-    from repro.core.noise_delay import buffopt_result
-    from repro.core.van_ginneken import delay_opt_result
+    from repro import Objective, dp_result, segment_tree
     from repro.experiments import default_experiment
     exp = default_experiment(nets=16)
+    buff, delay = Objective.legacy("buffopt"), Objective.legacy("delay")
     for net in exp.nets:
         tree = segment_tree(net.tree, exp.max_segment_length)
-        b = buffopt_result(tree, exp.library, exp.coupling,
-                           max_buffers=4).fewest_buffers()
-        d = delay_opt_result(tree, exp.library,
-                             max_buffers=4).best(require_noise=False)
+        b = dp_result(tree, exp.library, exp.coupling, objective=buff,
+                      max_buffers=4).select(buff)
+        d = dp_result(tree, exp.library, objective=delay,
+                      max_buffers=4).select(delay)
         print(net.name, b.buffer_count, b.slack, d.buffer_count, d.slack)
     PY
 
@@ -29,10 +28,11 @@ and re-record EXPERIMENTS.md.
 
 import pytest
 
-from repro import segment_tree
-from repro.core.noise_delay import buffopt_result
-from repro.core.van_ginneken import delay_opt_result
+from repro import Objective, dp_result, segment_tree
 from repro.experiments import default_experiment
+
+BUFFOPT = Objective.legacy("buffopt")
+DELAY = Objective.legacy("delay")
 
 #: (net, BuffOpt buffers, BuffOpt slack, DelayOpt(4) buffers, DelayOpt slack)
 GOLDEN = (
@@ -72,10 +72,11 @@ def test_golden_net_names(segmented_nets):
 def test_buffopt_counts_and_slacks_pinned(segmented_nets):
     experiment, nets = segmented_nets
     for (name, tree), (_, count, slack, _, _) in zip(nets, GOLDEN):
-        result = buffopt_result(
-            tree, experiment.library, experiment.coupling, max_buffers=4
+        result = dp_result(
+            tree, experiment.library, experiment.coupling,
+            objective=BUFFOPT, max_buffers=4,
         )
-        outcome = result.fewest_buffers()
+        outcome = result.select(BUFFOPT)
         assert outcome.buffer_count == count, name
         assert outcome.slack == pytest.approx(slack, rel=1e-12), name
         assert outcome.noise_feasible, name
@@ -84,8 +85,10 @@ def test_buffopt_counts_and_slacks_pinned(segmented_nets):
 def test_delayopt_counts_and_slacks_pinned(segmented_nets):
     experiment, nets = segmented_nets
     for (name, tree), (_, _, _, count, slack) in zip(nets, GOLDEN):
-        result = delay_opt_result(tree, experiment.library, max_buffers=4)
-        outcome = result.best(require_noise=False)
+        result = dp_result(
+            tree, experiment.library, objective=DELAY, max_buffers=4
+        )
+        outcome = result.select(DELAY)
         assert outcome.buffer_count == count, name
         assert outcome.slack == pytest.approx(slack, rel=1e-12), name
 
@@ -94,14 +97,15 @@ def test_instrumented_run_hits_same_pins(segmented_nets):
     """The refactor guard this file exists for: telemetry on, pins unmoved."""
     experiment, nets = segmented_nets
     for (name, tree), (_, count, slack, _, _) in zip(nets, GOLDEN):
-        result = buffopt_result(
+        result = dp_result(
             tree,
             experiment.library,
             experiment.coupling,
+            objective=BUFFOPT,
             max_buffers=4,
             collect_stats=True,
         )
-        outcome = result.fewest_buffers()
+        outcome = result.select(BUFFOPT)
         assert outcome.buffer_count == count, name
         assert outcome.slack == pytest.approx(slack, rel=1e-12), name
         assert result.stats is not None

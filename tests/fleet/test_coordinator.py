@@ -20,6 +20,7 @@ from dataclasses import replace
 import pytest
 
 from repro.batch.optimizer import BatchConfig, BatchOptimizer
+from repro.core.objective import Objective
 from repro.errors import WorkloadError
 from repro.fleet import (
     FleetConfig,
@@ -38,6 +39,9 @@ from repro.units import PS
 from repro.verify.treegen import random_tree
 from repro.workloads import WorkloadConfig, population_specs
 
+BUFFOPT = Objective.legacy("buffopt")
+DELAY = Objective.legacy("delay")
+
 SMALL_LIBRARY = BufferLibrary(tuple(default_buffer_library())[:2])
 
 
@@ -52,7 +56,7 @@ def tiny_trees(seed, count=4, max_internal=2):
 
 def contended_config(**overrides):
     base = dict(
-        batch=BatchConfig(mode="delay", max_segment_length=None),
+        batch=BatchConfig(objective=DELAY, max_segment_length=None),
         sites_per_family=3,
         base_capacity=1,
         max_rounds=20,
@@ -166,7 +170,7 @@ class TestCoordinationLoop:
         result = FleetCoordinator(
             library=SMALL_LIBRARY,
             config=contended_config(
-                batch=BatchConfig(mode="buffopt", max_segment_length=None)
+                batch=BatchConfig(objective=BUFFOPT, max_segment_length=None)
             ),
         ).coordinate(trees)
         assert result.dual_bound is None
@@ -286,4 +290,23 @@ class TestCheckpointResume:
             config=replace(config, base_capacity=2),
         )
         with pytest.raises(WorkloadError):
+            other.coordinate(trees, checkpoint=path, resume=True)
+
+    def test_objective_mismatch_is_rejected(self, tmp_path):
+        """A journal written under one objective never resumes under
+        another: the fleet fingerprint carries the objective block."""
+        trees = tiny_trees(9, count=2)
+        config = contended_config()
+        path = tmp_path / "fleet.jsonl"
+        FleetCoordinator(
+            library=SMALL_LIBRARY, config=config
+        ).coordinate(trees, checkpoint=path)
+        min_power = BatchConfig(
+            objective=Objective(mode="delay", selection="min-power"),
+            max_segment_length=None,
+        )
+        other = FleetCoordinator(
+            library=SMALL_LIBRARY, config=replace(config, batch=min_power)
+        )
+        with pytest.raises(WorkloadError, match="differs on: objective"):
             other.coordinate(trees, checkpoint=path, resume=True)

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.batch.optimizer import BatchConfig
+from repro.core.objective import Objective
 from repro.fleet import (
     FleetConfig,
     FleetCoordinator,
@@ -30,6 +31,8 @@ from repro.library.buffers import BufferLibrary, default_buffer_library
 from repro.units import PS
 from repro.verify.treegen import random_tree
 
+DELAY = Objective.legacy("delay")
+
 SMALL_LIBRARY = BufferLibrary(tuple(default_buffer_library())[:2])
 
 
@@ -46,7 +49,7 @@ def battery_kwargs():
     return dict(
         library=SMALL_LIBRARY,
         config=FleetConfig(
-            batch=BatchConfig(mode="delay", max_segment_length=None),
+            batch=BatchConfig(objective=DELAY, max_segment_length=None),
             sites_per_family=3,
             base_capacity=1,
             max_rounds=15,

@@ -21,6 +21,7 @@ import random
 import pytest
 
 from repro.batch.optimizer import BatchConfig
+from repro.core.objective import Objective
 from repro.fleet import (
     FleetConfig,
     FleetCoordinator,
@@ -33,6 +34,8 @@ from repro.library.buffers import BufferLibrary, default_buffer_library
 from repro.units import PS
 from repro.verify.oracle import OracleBoundError
 from repro.verify.treegen import random_tree, seeded_tree
+
+DELAY = Objective.legacy("delay")
 
 SMALL_LIBRARY = BufferLibrary(tuple(default_buffer_library())[:2])
 
@@ -55,7 +58,7 @@ def battery_instance(seed):
         for i in range(2 + seed % 3)
     ]
     config = FleetConfig(
-        batch=BatchConfig(mode="delay", max_segment_length=None),
+        batch=BatchConfig(objective=DELAY, max_segment_length=None),
         sites_per_family=2 + seed % 2,
         base_capacity=1,
         capacity_spread=seed % 2,

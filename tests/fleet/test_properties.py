@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.batch.executors import make_executor
 from repro.batch.optimizer import BatchConfig, BatchOptimizer
+from repro.core.objective import Objective
 from repro.fleet import (
     FleetConfig,
     FleetCoordinator,
@@ -33,6 +34,8 @@ from repro.fleet import (
 from repro.library.buffers import BufferLibrary, default_buffer_library
 from repro.units import PS
 from repro.verify.treegen import random_tree
+
+DELAY = Objective.legacy("delay")
 
 SMALL_LIBRARY = BufferLibrary(tuple(default_buffer_library())[:2])
 
@@ -59,7 +62,7 @@ def fleet_for(seed, count=None):
 
 def contended_config(**overrides):
     base = dict(
-        batch=BatchConfig(mode="delay", max_segment_length=None),
+        batch=BatchConfig(objective=DELAY, max_segment_length=None),
         sites_per_family=3,
         base_capacity=1,
         max_rounds=15,
@@ -149,7 +152,7 @@ class TestDeterminism:
             reference = coordinate(seed)
             config = contended_config(
                 batch=BatchConfig(
-                    mode="delay", max_segment_length=None, engine="lishi"
+                    objective=DELAY, max_segment_length=None, engine="lishi"
                 ),
             )
             lishi = FleetCoordinator(
@@ -171,7 +174,7 @@ class TestZeroPriceIdentity:
     @given(seed=seeds)
     def test_uncontended_fleet_is_one_uncoordinated_round(self, seed):
         trees = fleet_for(seed)
-        batch_config = BatchConfig(mode="delay", max_segment_length=None)
+        batch_config = BatchConfig(objective=DELAY, max_segment_length=None)
         fleet = FleetCoordinator(
             library=SMALL_LIBRARY,
             config=FleetConfig(

@@ -16,8 +16,11 @@ from repro import (
     segment_tree,
 )
 from repro.analysis import DetailedNoiseAnalyzer, assess_net
-from repro.core import best_within_count, delay_opt_result
+from repro.api import dp_result
+from repro.core import Objective, best_within_count
 from repro.timing import max_sink_delay, meets_timing
+
+DELAY = Objective.legacy("delay")
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +88,8 @@ class TestFullPipeline:
             if buffered.buffer_count == 0:
                 continue
             matched = best_within_count(
-                delay_opt_result(
-                    tree, experiment.library,
+                dp_result(
+                    tree, experiment.library, objective=DELAY,
                     max_buffers=buffered.buffer_count,
                 ),
                 buffered.buffer_count,
@@ -105,7 +108,9 @@ class TestFullPipeline:
         noisy = 0
         for net in experiment.nets:
             tree = segment_tree(net.tree, experiment.max_segment_length)
-            result = delay_opt_result(tree, experiment.library, max_buffers=1)
+            result = dp_result(
+                tree, experiment.library, objective=DELAY, max_buffers=1
+            )
             solution = best_within_count(result, 1)
             if analyze_noise(
                 tree, experiment.coupling, solution.buffer_map()

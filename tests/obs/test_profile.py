@@ -3,7 +3,11 @@
 import pytest
 
 from repro.api import dp_result
+from repro.core.objective import Objective
 from repro.obs import PHASE_METHODS, MetricsRegistry, PhaseProfiler
+
+BUFFOPT = Objective.legacy("buffopt")
+DELAY = Objective.legacy("delay")
 
 PHASES = tuple(phase for _, phase in PHASE_METHODS)
 
@@ -13,11 +17,13 @@ PHASES = tuple(phase for _, phase in PHASE_METHODS)
 def test_profiled_run_is_bit_identical(y_tree, library, coupling, engine,
                                        mode):
     plain = dp_result(
-        y_tree, library, coupling, mode=mode, max_buffers=4, engine=engine,
+        y_tree, library, coupling, objective=Objective.legacy(mode),
+        max_buffers=4, engine=engine,
     )
     profiler = PhaseProfiler()
     traced = dp_result(
-        y_tree, library, coupling, mode=mode, max_buffers=4, engine=engine,
+        y_tree, library, coupling, objective=Objective.legacy(mode),
+        max_buffers=4, engine=engine,
         profile=profiler,
     )
     assert plain.outcomes == traced.outcomes
@@ -31,12 +37,12 @@ def test_profiled_run_is_bit_identical(y_tree, library, coupling, engine,
 def test_counters_accumulate_across_runs(y_tree, library, coupling):
     profiler = PhaseProfiler()
     dp_result(
-        y_tree, library, coupling, mode="buffopt", max_buffers=4,
+        y_tree, library, coupling, objective=BUFFOPT, max_buffers=4,
         profile=profiler,
     )
     first_calls = dict(profiler.calls)
     dp_result(
-        y_tree, library, coupling, mode="buffopt", max_buffers=4,
+        y_tree, library, coupling, objective=BUFFOPT, max_buffers=4,
         profile=profiler,
     )
     assert profiler.runs == 2
@@ -49,7 +55,7 @@ def test_finish_returns_per_run_deltas_and_feeds_histogram(
     registry = MetricsRegistry()
     profiler = PhaseProfiler(metrics=registry)
     dp_result(
-        y_tree, library, coupling, mode="buffopt", max_buffers=4,
+        y_tree, library, coupling, objective=BUFFOPT, max_buffers=4,
         profile=profiler,
     )
     first = profiler.finish()
@@ -57,7 +63,7 @@ def test_finish_returns_per_run_deltas_and_feeds_histogram(
     assert sum(first.values()) == pytest.approx(profiler.total_seconds())
 
     dp_result(
-        y_tree, library, coupling, mode="buffopt", max_buffers=4,
+        y_tree, library, coupling, objective=BUFFOPT, max_buffers=4,
         profile=profiler,
     )
     second = profiler.finish()
@@ -80,18 +86,18 @@ def test_install_wraps_only_that_instance(y_tree, library, coupling):
     # profiled one sees zero profiler activity
     profiler = PhaseProfiler()
     dp_result(
-        y_tree, library, coupling, mode="buffopt", max_buffers=4,
+        y_tree, library, coupling, objective=BUFFOPT, max_buffers=4,
         profile=profiler,
     )
     calls_after_profiled = dict(profiler.calls)
-    dp_result(y_tree, library, coupling, mode="buffopt", max_buffers=4)
+    dp_result(y_tree, library, coupling, objective=BUFFOPT, max_buffers=4)
     assert profiler.calls == calls_after_profiled
 
 
 def test_describe_reports_runs_and_phases(y_tree, library, coupling):
     profiler = PhaseProfiler()
     dp_result(
-        y_tree, library, coupling, mode="delay", max_buffers=4,
+        y_tree, library, coupling, objective=DELAY, max_buffers=4,
         profile=profiler,
     )
     text = profiler.describe()

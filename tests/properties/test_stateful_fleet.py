@@ -48,7 +48,7 @@ from repro.batch import optimizer as optimizer_module
 from repro.batch import sharding as sharding_module
 from repro.batch.optimizer import _FOLDED
 from repro.batch.resilience import WorkItemFailure
-from repro.core import FrontierCache
+from repro.core import FrontierCache, Objective
 from repro.core import eco as eco_module
 from repro.units import FF, PS, UM
 from repro.workloads import WorkloadConfig, population_specs
@@ -121,7 +121,7 @@ def eco_tree():
 
 
 def eco_result_key(result):
-    outcome = result.best(require_noise=False)
+    outcome = result.select(Objective.legacy("delay"))
     return (
         outcome.slack,
         outcome.buffer_count,

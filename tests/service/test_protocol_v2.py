@@ -234,12 +234,12 @@ class TestWorkerThreading:
             "w", mode="delay", selection="min-power", min_slack=0.1,
         ))
         config = batch_config_for(request)
-        assert config.objective.selection == "min-power"
-        assert config.mode == "delay"
-        assert config.min_slack == 0.1
+        assert config.objective == Objective(
+            mode="delay", selection="min-power", min_slack=0.1
+        )
 
     def test_legacy_request_keeps_the_legacy_config_shape(self):
         request = parse_request(tiny_payload("w", mode="buffopt"))
         config = batch_config_for(request)
         assert config.objective.is_legacy()
-        assert config.mode == "buffopt"
+        assert config.objective == Objective.legacy("buffopt")

@@ -1,12 +1,19 @@
-"""The repro.api facade: Session, dp_result, and the deprecation shims."""
+"""The repro.api facade: Session, dp_result, and SessionOptions."""
 
 import pytest
 
 import repro
-from repro.api import OptimizeResult, Session, SessionOptions, dp_result
-from repro.core.noise_delay import buffopt_result
-from repro.core.van_ginneken import delay_opt_result
+from repro.api import (
+    Objective,
+    OptimizeResult,
+    Session,
+    SessionOptions,
+    dp_result,
+)
 from repro.obs import MetricsRegistry, Tracer, parse_prometheus, read_events
+
+BUFFOPT = Objective.legacy("buffopt")
+DELAY = Objective.legacy("delay")
 
 
 def test_facade_is_reexported_from_package_root():
@@ -20,57 +27,27 @@ def test_facade_is_reexported_from_package_root():
 
 
 def test_dp_result_rejects_unknown_mode(y_tree, library, coupling):
-    with pytest.raises(ValueError, match="unknown mode"):
-        dp_result(y_tree, library, coupling, mode="noise")
+    with pytest.raises(ValueError, match="objective mode"):
+        dp_result(
+            y_tree, library, coupling, objective=Objective(mode="noise")
+        )
 
 
 def test_dp_result_buffopt_requires_coupling(y_tree, library):
     with pytest.raises(ValueError, match="requires a coupling model"):
-        dp_result(y_tree, library, mode="buffopt")
+        dp_result(y_tree, library, objective=BUFFOPT)
 
 
 def test_dp_result_delay_mode_ignores_coupling(y_tree, library, coupling):
-    with_coupling = dp_result(y_tree, library, coupling, mode="delay")
-    without = dp_result(y_tree, library, mode="delay")
+    with_coupling = dp_result(y_tree, library, coupling, objective=DELAY)
+    without = dp_result(y_tree, library, objective=DELAY)
     assert with_coupling.outcomes == without.outcomes
-
-
-# -- deprecation shims -----------------------------------------------------
-
-
-@pytest.mark.parametrize("engine", ["reference", "fast"])
-def test_buffopt_shim_parity(y_tree, library, coupling, engine):
-    with pytest.warns(DeprecationWarning, match="buffopt_result"):
-        legacy = buffopt_result(
-            y_tree, library, coupling, max_buffers=4, engine=engine
-        )
-    modern = dp_result(
-        y_tree, library, coupling, mode="buffopt", max_buffers=4,
-        engine=engine,
-    )
-    assert legacy.outcomes == modern.outcomes
-    assert legacy.candidates_generated == modern.candidates_generated
-
-
-@pytest.mark.parametrize("engine", ["reference", "fast"])
-def test_delay_opt_shim_parity(y_tree, library, engine):
-    with pytest.warns(DeprecationWarning, match="delay_opt_result"):
-        legacy = delay_opt_result(
-            y_tree, library, max_buffers=4, engine=engine
-        )
-    modern = dp_result(
-        y_tree, library, mode="delay", max_buffers=4, engine=engine
-    )
-    assert legacy.outcomes == modern.outcomes
-    assert legacy.candidates_generated == modern.candidates_generated
 
 
 # -- SessionOptions validation ---------------------------------------------
 
 
 def test_session_options_validation():
-    with pytest.raises(ValueError, match="unknown mode"):
-        SessionOptions(mode="noise")
     with pytest.raises(ValueError, match="unknown engine"):
         SessionOptions(engine="turbo")
     with pytest.raises(ValueError, match="unknown prune rule"):
@@ -86,7 +63,7 @@ def test_session_options_validation():
 
 def test_session_optimize_buffopt(y_tree, library, coupling, tech):
     with Session(
-        SessionOptions(mode="buffopt", max_buffers=8),
+        SessionOptions(objective=BUFFOPT, max_buffers=8),
         library=library, coupling=coupling, technology=tech,
     ) as session:
         outcome = session.optimize(y_tree)
@@ -101,19 +78,19 @@ def test_session_optimize_buffopt(y_tree, library, coupling, tech):
 
 def test_session_optimize_delay_matches_raw_dp(y_tree, library, tech):
     options = SessionOptions(
-        mode="delay", engine="fast", max_segment_length=None
+        objective=DELAY, engine="fast", max_segment_length=None
     )
     with Session(options, library=library, technology=tech) as session:
         outcome = session.optimize(y_tree)
-    raw = dp_result(y_tree, library, mode="delay", engine="fast")
+    raw = dp_result(y_tree, library, objective=DELAY, engine="fast")
     assert outcome.result.outcomes == raw.outcomes
     assert outcome.tree is y_tree  # segmentation disabled: same tree
-    assert outcome.slack == raw.best(require_noise=False).slack
+    assert outcome.slack == raw.select(DELAY).slack
 
 
 def test_session_meters_optimize_calls(y_tree, library, coupling):
     with Session(
-        SessionOptions(mode="buffopt"), library=library, coupling=coupling
+        SessionOptions(objective=BUFFOPT), library=library, coupling=coupling
     ) as session:
         session.optimize(y_tree)
         session.optimize(y_tree)
@@ -127,7 +104,7 @@ def test_session_meters_optimize_calls(y_tree, library, coupling):
 
 def test_session_profile_phases(y_tree, library, coupling):
     with Session(
-        SessionOptions(mode="buffopt", profile_phases=True),
+        SessionOptions(objective=BUFFOPT, profile_phases=True),
         library=library, coupling=coupling,
     ) as session:
         profiled = session.optimize(y_tree)
@@ -137,7 +114,7 @@ def test_session_profile_phases(y_tree, library, coupling):
     }
     # profiling never changes the arithmetic
     with Session(
-        SessionOptions(mode="buffopt"), library=library, coupling=coupling
+        SessionOptions(objective=BUFFOPT), library=library, coupling=coupling
     ) as session:
         plain = session.optimize(y_tree)
     assert plain.phase_seconds is None
@@ -149,7 +126,7 @@ def test_session_writes_trace_and_metrics_files(
     trace = tmp_path / "session.jsonl"
     prom = tmp_path / "session.prom"
     options = SessionOptions(
-        mode="buffopt", trace_path=str(trace), metrics_path=str(prom)
+        objective=BUFFOPT, trace_path=str(trace), metrics_path=str(prom)
     )
     with Session(options, library=library, coupling=coupling) as session:
         session.optimize(y_tree)
@@ -168,7 +145,7 @@ def test_session_external_tracer_not_closed(y_tree, library, coupling):
     tracer = Tracer()
     metrics = MetricsRegistry()
     with Session(
-        SessionOptions(mode="delay"),
+        SessionOptions(objective=DELAY),
         library=library, coupling=coupling,
         tracer=tracer, metrics=metrics,
     ) as session:
@@ -185,7 +162,7 @@ def test_session_external_tracer_not_closed(y_tree, library, coupling):
 
 def test_session_traced_run_is_bit_identical(
         tmp_path, y_tree, library, coupling):
-    options = dict(mode="buffopt", max_buffers=6)
+    options = dict(objective=BUFFOPT, max_buffers=6)
     with Session(
         SessionOptions(**options), library=library, coupling=coupling
     ) as session:

@@ -233,15 +233,16 @@ def exported_net(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["batch", "--nets", "2"],
-    ["fleet", "--nets", "2"],
+    ["batch", "--nets", "2", "--mode", "delay"],
+    ["fleet", "--nets", "2", "--mode", "delay"],
+    ["loadtest", "--requests", "1", "--mode", "delay"],
+    ["fix", "net.json", "--mode", "buffopt"],
 ])
-def test_objective_and_mode_are_mutually_exclusive(capsys, argv):
-    code, _, err = run_cli(
-        capsys, *argv, "--objective", "delay", "--mode", "delay"
-    )
-    assert code == EXIT_USAGE
-    assert "mutually exclusive" in err
+def test_removed_mode_spellings_are_usage_errors(argv):
+    # only ``fix --mode noise`` survives: the DP modes are objectives.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == EXIT_USAGE
 
 
 def test_fuzz_never_had_a_mode_flag(capsys):
@@ -260,22 +261,6 @@ def test_bad_objective_spec_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv, "--objective", "warp/min-power")
     assert code == EXIT_USAGE
     assert "--objective" in err
-
-
-def test_mode_flag_is_a_deprecation_shim(capsys):
-    code, report = run_json(
-        capsys, "batch", "--nets", "2", "--mode", "delay"
-    )
-    assert code == EXIT_OK
-    assert report["mode"] == "delay"
-    _, err = capsys.readouterr().out, ""
-    # the note was emitted before the JSON body, on stderr
-    # (run_json already drained capsys; re-run plain to see it)
-    code, _, err = run_cli(
-        capsys, "batch", "--nets", "2", "--mode", "delay"
-    )
-    assert code == EXIT_OK
-    assert "--mode is deprecated" in err
 
 
 def test_fix_json_report_carries_the_objective(capsys, exported_net):

@@ -150,8 +150,8 @@ class TestCliFix:
 
         net_path = tmp_path / "net.json"
         net_path.write_text(json.dumps(sample_dict()))
-        for mode in ("delay", "noise"):
-            assert main(["fix", str(net_path), "--mode", mode]) == 0
+        assert main(["fix", str(net_path), "--objective", "delay"]) == 0
+        assert main(["fix", str(net_path), "--mode", "noise"]) == 0
 
     def test_fix_svg_output(self, tmp_path, capsys):
         from repro.cli import main

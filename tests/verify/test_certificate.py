@@ -11,10 +11,8 @@ import math
 
 import pytest
 
-from repro import segment_tree
+from repro import Objective, dp_result, segment_tree
 from repro.core.dp import DPOptions, run_dp
-from repro.core.noise_delay import buffopt_result
-from repro.core.van_ginneken import delay_opt_result
 from repro.core.wire_sizing import WireSizingSpec
 from repro.errors import CertificateError
 from repro.experiments import default_experiment
@@ -28,6 +26,9 @@ from repro.verify import (
     certify_result,
     evaluate_assignment,
 )
+
+BUFFOPT = Objective.legacy("buffopt")
+DELAY = Objective.legacy("delay")
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,7 @@ class TestGoldenNets:
     def test_buffopt_outcomes_all_certify(self, golden_population):
         experiment, nets = golden_population
         for name, tree in nets:
-            result = buffopt_result(
+            result = dp_result(
                 tree, experiment.library, experiment.coupling, max_buffers=4
             )
             certificate = certify_result(result, experiment.coupling)
@@ -52,8 +53,8 @@ class TestGoldenNets:
     def test_delayopt_outcomes_all_certify(self, golden_population):
         experiment, nets = golden_population
         for name, tree in nets:
-            result = delay_opt_result(
-                tree, experiment.library, max_buffers=4
+            result = dp_result(
+                tree, experiment.library, objective=DELAY, max_buffers=4
             )
             # DelayOpt runs the engine with silent coupling; certify
             # against the same physics.
@@ -65,9 +66,9 @@ class TestGoldenNets:
     ):
         experiment, nets = golden_population
         for name, tree in nets:
-            outcome = buffopt_result(
+            outcome = dp_result(
                 tree, experiment.library, experiment.coupling, max_buffers=4
-            ).fewest_buffers()
+            ).select(BUFFOPT)
             certificate = certify_or_raise(
                 tree,
                 {ins.node: ins.buffer for ins in outcome.insertions},
@@ -84,7 +85,7 @@ class TestRecomputation:
     def test_matches_independent_elmore_analysis(
         self, y_tree, library, silent
     ):
-        result = delay_opt_result(y_tree, library, max_buffers=3)
+        result = dp_result(y_tree, library, objective=DELAY, max_buffers=3)
         for outcome in result.outcomes:
             assignment = {ins.node: ins.buffer for ins in outcome.insertions}
             certificate = evaluate_assignment(y_tree, assignment, silent)
@@ -169,7 +170,7 @@ class TestResultCertificate:
     def test_malformed_frontier_is_flagged(self, y_tree, library, silent):
         import dataclasses
 
-        result = delay_opt_result(y_tree, library, max_buffers=2)
+        result = dp_result(y_tree, library, objective=DELAY, max_buffers=2)
         assert len(result.outcomes) >= 2
         # duplicate the first outcome: counts no longer strictly increase
         broken = dataclasses.replace(
@@ -183,7 +184,7 @@ class TestResultCertificate:
     def test_cap_overrun_is_flagged(self, y_tree, library, silent):
         import dataclasses
 
-        result = delay_opt_result(y_tree, library)
+        result = dp_result(y_tree, library, objective=DELAY)
         heavy = max(result.outcomes, key=lambda o: o.buffer_count)
         if heavy.buffer_count == 0:
             pytest.skip("net never takes a buffer")

@@ -10,9 +10,8 @@ import random
 
 import pytest
 
-from repro import DriverCell
+from repro import DriverCell, Objective, dp_result
 from repro.core.dp import DPOptions, run_dp
-from repro.core.noise_delay import buffopt_result
 from repro.library.buffers import default_buffer_library
 from repro.library.technology import default_technology
 from repro.noise.coupling import CouplingModel
@@ -40,7 +39,7 @@ def buffered_solution():
         sink_capacitance=20 * FF, noise_margin=0.8,
         required_arrival=2000 * PS, segments=6, name="mutant_host",
     )
-    outcome = buffopt_result(net, library, coupling).fewest_buffers()
+    outcome = dp_result(net, library, coupling).select(Objective())
     assignment = {ins.node: ins.buffer for ins in outcome.insertions}
     assert assignment, "host net must actually need buffers"
     return net, assignment, coupling, library

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.core.dp import DPOptions, run_dp
+from repro.core.objective import Objective
 from repro.core.wire_sizing import WireSizingSpec
 from repro.errors import InfeasibleError
 from repro.library.buffers import default_buffer_library
@@ -216,6 +217,8 @@ class TestWireSizing:
             net, library, silent, noise_aware=False, sizing=spec
         )
         # Lillis-style sizing is exact in delay mode too
-        assert result.best(require_noise=False).slack == pytest.approx(
+        assert result.select(
+            Objective(mode="delay", selection="max-slack", require_noise=False)
+        ).slack == pytest.approx(
             oracle.best(require_noise=False).slack, rel=1e-9
         )
