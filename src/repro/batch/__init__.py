@@ -25,13 +25,11 @@ misbehave:
   faults so every recovery path stays testable.
 """
 
+from ..journal import TORN_TAIL_COUNTER, JournalReader, record_torn_tail
 from .checkpoint import (
     CheckpointJournal,
-    JournalReader,
-    TORN_TAIL_COUNTER,
     load_checkpoint,
     read_checkpoint_header,
-    record_torn_tail,
     result_from_json,
     result_to_json,
 )

@@ -26,105 +26,16 @@ round trip bit-identically, which the checkpoint tests pin down).
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO, Union
+from typing import Any, Dict, Optional, Union
 
 from ..errors import WorkloadError
+from ..journal import JournalReader, JournalWriter, read_header_line
 from ..library.buffers import BufferLibrary
 
 #: bump when the journal schema changes incompatibly.
 CHECKPOINT_VERSION = 1
-
-#: counter incremented (on an optional obs registry) whenever a torn
-#: trailing line is recovered from — the observable trace of the
-#: kill-mid-write path actually firing.  Shared by the batch checkpoint
-#: and the service journal, distinguished by the ``journal`` label.
-TORN_TAIL_COUNTER = "buffopt_checkpoint_torn_tail_recovered_total"
-
-
-def record_torn_tail(metrics, journal: str) -> None:
-    """Count one recovered torn tail on ``metrics`` (no-op when None)."""
-    if metrics is None:
-        return
-    metrics.counter(
-        TORN_TAIL_COUNTER,
-        "torn trailing journal lines skipped during recovery",
-    ).inc(journal=journal)
-
-
-def repair_torn_tail(path: Union[str, Path], lines: List[str]) -> None:
-    """Truncate a journal's torn final line off the file.
-
-    Recovery *tolerating* the tear is not enough when the journal will
-    be appended to afterwards: the next record would concatenate onto
-    the unterminated fragment, turning an interrupted write into
-    interior corruption on the incarnation after next.  ``lines`` is
-    the full ``readlines()`` content whose last entry is the torn
-    fragment.  A read-only file (e.g. an archived CI artifact being
-    inspected) is left alone.
-    """
-    keep = sum(len(line.encode("utf-8")) for line in lines[:-1])
-    try:
-        with open(path, "rb+") as handle:
-            handle.truncate(keep)
-    except OSError:
-        pass
-
-
-class JournalReader:
-    """Torn-tail-tolerant JSONL body reader shared by every journal.
-
-    The batch checkpoint, the sharded fleet checkpoint, and the service
-    journal all speak the same dialect: one header line, then one JSON
-    record per line, where a torn *final* line means an interrupted
-    write (tolerated, counted, truncated off) and a torn *interior* line
-    means corruption (refused).  This class is that dialect's reader;
-    the callers keep their own header validation and record semantics.
-
-    ``error`` is the exception class corruption raises
-    (:class:`~repro.errors.WorkloadError` for batch journals,
-    ``ServiceError`` for service ones); ``journal`` labels the shared
-    torn-tail counter.
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        metrics=None,
-        journal: str = "batch",
-        error: type = WorkloadError,
-    ):
-        self.path = Path(path)
-        self.metrics = metrics
-        self.journal = journal
-        self.error = error
-        #: set when a torn final line was skipped (and truncated off).
-        self.torn_tail = False
-
-    def records(self):
-        """Yield ``(line_number, record)`` for every body record."""
-        with self.path.open("r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-        for number, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if number == len(lines):
-                    # torn final line: the writer was killed mid-write
-                    record_torn_tail(self.metrics, journal=self.journal)
-                    repair_torn_tail(self.path, lines)
-                    self.torn_tail = True
-                    return
-                raise self.error(
-                    f"journal {self.path} line {number} is corrupt"
-                ) from None
-            yield number, record
-
 
 def result_to_json(result) -> Dict[str, Any]:
     """Plain-JSON view of a :class:`~repro.batch.NetResult` (no trees/stats)."""
@@ -197,23 +108,9 @@ def result_from_json(record: Dict[str, Any], library: BufferLibrary):
     )
 
 
-class CheckpointJournal:
-    """Append-only JSONL writer, flushed (and optionally fsynced) per record.
-
-    ``fsync=True`` (the default, and the only behavior before the flag
-    existed) forces every record to stable storage, so a machine crash —
-    not just a process kill — loses at most the record in flight.
-    ``fsync=False`` trades that durability for append throughput: the
-    per-line ``flush`` still protects against process death, which is
-    the only fault a same-machine restart can observe anyway.
-    """
-
-    def __init__(
-        self, path: Union[str, Path], handle: TextIO, fsync: bool = True
-    ):
-        self.path = Path(path)
-        self._handle = handle
-        self._fsync = fsync
+class CheckpointJournal(JournalWriter):
+    """The batch checkpoint: a :class:`~repro.journal.JournalWriter`
+    whose records are journaled :class:`~repro.batch.NetResult` lines."""
 
     @classmethod
     def create(
@@ -230,14 +127,6 @@ class CheckpointJournal:
         to* the fingerprint rather than inside it, so resuming under a
         different shard count stays legal.
         """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Truncate, then reopen O_APPEND so flushed lines always land at
-        # the true end of file even if another handle appends in between
-        # (a plain "w" handle would overwrite them at its own position).
-        path.open("w", encoding="utf-8").close()
-        handle = path.open("a", encoding="utf-8")
-        journal = cls(path, handle, fsync=fsync)
         header = {
             "kind": "header",
             "version": CHECKPOINT_VERSION,
@@ -245,8 +134,7 @@ class CheckpointJournal:
         }
         if header_extra:
             header.update(header_extra)
-        journal._write(header)
-        return journal
+        return super().create(path, header, fsync=fsync)
 
     @classmethod
     def append_to(
@@ -256,16 +144,9 @@ class CheckpointJournal:
         fsync: bool = True,
     ) -> "CheckpointJournal":
         """Reopen an existing journal for appending (header must match)."""
-        path = Path(path)
         header = read_checkpoint_header(path)
         check_fingerprint(header["fingerprint"], fingerprint, path)
-        return cls(path, path.open("a", encoding="utf-8"), fsync=fsync)
-
-    def _write(self, record: Dict[str, Any]) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
+        return cls.reopen(path, fsync=fsync)
 
     def append(self, result, seq: Optional[int] = None) -> None:
         """Journal one result; ``seq`` (when given) stamps a global
@@ -275,29 +156,11 @@ class CheckpointJournal:
         record = result_to_json(result)
         if seq is not None:
             record["seq"] = seq
-        self._write(record)
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "CheckpointJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.write(record)
 
 
 def read_checkpoint_header(path: Union[str, Path]) -> Dict[str, Any]:
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        first = handle.readline()
-    try:
-        header = json.loads(first)
-    except json.JSONDecodeError:
-        raise WorkloadError(
-            f"checkpoint {path} has no readable header line"
-        ) from None
+    header = read_header_line(path, WorkloadError, "checkpoint")
     if header.get("kind") != "header":
         raise WorkloadError(
             f"checkpoint {path} does not start with a header record"
@@ -340,8 +203,8 @@ def load_checkpoint(
     they indicate corruption rather than an interrupted write.  When a
     torn tail is skipped and ``metrics`` (a
     :class:`~repro.obs.MetricsRegistry`) is given, the recovery is
-    counted on :data:`TORN_TAIL_COUNTER` so crash-recovery paths stay
-    observable in production.
+    counted on :data:`~repro.journal.TORN_TAIL_COUNTER` so crash-recovery
+    paths stay observable in production.
     """
     path = Path(path)
     header = read_checkpoint_header(path)

@@ -46,10 +46,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import WorkloadError
+from ..journal import JournalReader
 from ..library.buffers import BufferLibrary
 from .checkpoint import (
     CheckpointJournal,
-    JournalReader,
     check_fingerprint,
     read_checkpoint_header,
     result_from_json,
@@ -304,7 +304,7 @@ def merge_sharded_checkpoint(
         for rank, record in sorted(winners.values(), key=lambda won: won[0]):
             clean = {key: value for key, value in record.items()
                      if key != "seq"}
-            journal._write(clean)
+            journal.write(clean)
     finally:
         journal.close()
     return output

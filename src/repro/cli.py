@@ -80,6 +80,7 @@ Exit codes (the single source of truth; pinned by the CLI tests):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import List, Optional
@@ -175,6 +176,54 @@ def _resolve_objective_flags(
     except ValueError as exc:
         print(f"buffopt {command}: bad --objective: {exc}", file=sys.stderr)
         return None
+
+
+_TRACE_HELP = "journal a JSONL span/event trace of the run to this file"
+_METRICS_HELP = "write Prometheus text-format fleet metrics to this file"
+
+
+def _add_observability_options(
+    sub: argparse.ArgumentParser,
+    *,
+    trace_help: str = _TRACE_HELP,
+    metrics_help: str = _METRICS_HELP,
+) -> None:
+    """The ``--trace``/``--metrics`` pair every observed run carries."""
+    sub.add_argument(
+        "--trace", default=None, metavar="PATH", help=trace_help
+    )
+    sub.add_argument(
+        "--metrics", default=None, metavar="PATH", help=metrics_help
+    )
+
+
+@contextlib.contextmanager
+def _observability(args: argparse.Namespace):
+    """Yield the ``(tracer, metrics)`` that ``--trace``/``--metrics``
+    ask for (``None`` for an absent flag).
+
+    On the way out the trace is closed and announced even when the
+    block raises; the metrics file is written only when it completes.
+    """
+    tracer = None
+    metrics = None
+    if args.trace:
+        from .obs import EventSink, Tracer
+
+        tracer = Tracer(sink=EventSink(args.trace))
+    if args.metrics:
+        from .obs import MetricsRegistry
+
+        metrics = MetricsRegistry()
+    try:
+        yield tracer, metrics
+    finally:
+        if tracer is not None:
+            tracer.close()
+            print(f"trace written to {args.trace}", file=sys.stderr)
+    if metrics is not None:
+        metrics.write_prometheus(args.metrics)
+        print(f"metrics written to {args.metrics}", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,14 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
         "certificate checker; certification failures join the failure "
         "taxonomy under the 'certify' phase",
     )
-    batch.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="journal a JSONL span/event trace of the run to this file "
-        "(summarize it with 'buffopt trace summarize PATH')",
-    )
-    batch.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="write Prometheus text-format fleet metrics to this file",
+    _add_observability_options(
+        batch,
+        trace_help=_TRACE_HELP
+        + " (summarize it with 'buffopt trace summarize PATH')",
     )
     _add_common_options(batch)
 
@@ -462,14 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-checkpoint-fsync", action="store_true",
         help="skip the per-record fsync on the checkpoint journal",
     )
-    fleet.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="journal a JSONL span/event trace of the run to this file",
-    )
-    fleet.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="write Prometheus text-format fleet metrics to this file",
-    )
+    _add_observability_options(fleet)
     _add_common_options(fleet)
 
     fuzz = subparsers.add_parser(
@@ -524,13 +562,11 @@ def build_parser() -> argparse.ArgumentParser:
         "runs only the buffopt-power mode; default: the delay and "
         "buffopt modes",
     )
-    fuzz.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="journal a JSONL span/event trace of the campaign here",
-    )
-    fuzz.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="write Prometheus text-format campaign metrics to this file",
+    _add_observability_options(
+        fuzz,
+        trace_help="journal a JSONL span/event trace of the campaign here",
+        metrics_help="write Prometheus text-format campaign metrics to "
+        "this file",
     )
     _add_common_options(
         fuzz, seed_default=0, seed_help="campaign seed",
@@ -904,17 +940,6 @@ def _run_batch(args: argparse.Namespace) -> int:
     if objective is None:
         return EXIT_USAGE
 
-    tracer = None
-    metrics = None
-    if args.trace:
-        from .obs import EventSink, Tracer
-
-        tracer = Tracer(sink=EventSink(args.trace))
-    if args.metrics:
-        from .obs import MetricsRegistry
-
-        metrics = MetricsRegistry()
-
     retry = None
     if args.max_attempts is not None or args.backoff is not None \
             or args.fallback is not None or args.retry_jitter_seed:
@@ -959,38 +984,32 @@ def _run_batch(args: argparse.Namespace) -> int:
     except WorkloadError as exc:
         print(f"bad batch configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    optimizer = BatchOptimizer(
-        config=config,
-        executor=executor,
-        workload=workload,
-        faults=faults,
-        tracer=tracer,
-        metrics=metrics,
-    )
-    print(
-        f"optimizing {args.nets} nets ({objective.describe()}, "
-        f"{executor.describe()}) ...",
-        file=sys.stderr,
-    )
     try:
-        report = optimizer.optimize_specs(
-            specs,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            checkpoint_fsync=not args.no_checkpoint_fsync,
-            stream_report=args.stream_report,
-            shards=args.shards,
-        )
+        with _observability(args) as (tracer, metrics):
+            optimizer = BatchOptimizer(
+                config=config,
+                executor=executor,
+                workload=workload,
+                faults=faults,
+                tracer=tracer,
+                metrics=metrics,
+            )
+            print(
+                f"optimizing {args.nets} nets ({objective.describe()}, "
+                f"{executor.describe()}) ...",
+                file=sys.stderr,
+            )
+            report = optimizer.optimize_specs(
+                specs,
+                checkpoint=args.checkpoint,
+                resume=args.resume,
+                checkpoint_fsync=not args.no_checkpoint_fsync,
+                stream_report=args.stream_report,
+                shards=args.shards,
+            )
     except WorkloadError as exc:
         print(f"batch failed: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        if tracer is not None:
-            tracer.close()
-            print(f"trace written to {args.trace}", file=sys.stderr)
-    if metrics is not None:
-        metrics.write_prometheus(args.metrics)
-        print(f"metrics written to {args.metrics}", file=sys.stderr)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -1012,17 +1031,6 @@ def _run_fleet(args: argparse.Namespace) -> int:
     objective = _resolve_objective_flags(args, command="fleet")
     if objective is None:
         return EXIT_USAGE
-
-    tracer = None
-    metrics = None
-    if args.trace:
-        from .obs import EventSink, Tracer
-
-        tracer = Tracer(sink=EventSink(args.trace))
-    if args.metrics:
-        from .obs import MetricsRegistry
-
-        metrics = MetricsRegistry()
 
     workload = WorkloadConfig(nets=args.nets, seed=args.seed)
     executor = make_executor(args.executor, workers=args.workers)
@@ -1050,37 +1058,31 @@ def _run_fleet(args: argparse.Namespace) -> int:
     except WorkloadError as exc:
         print(f"bad fleet configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    coordinator = FleetCoordinator(
-        config=config,
-        executor=executor,
-        workload=workload,
-        tracer=tracer,
-        metrics=metrics,
-    )
     specs = population_specs(workload)
-    print(
-        f"coordinating {args.nets} nets over "
-        f"{args.sites * args.families} shared sites "
-        f"({objective.describe()}, {executor.describe()}) ...",
-        file=sys.stderr,
-    )
     try:
-        result = coordinator.coordinate(
-            specs,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            checkpoint_fsync=not args.no_checkpoint_fsync,
-        )
+        with _observability(args) as (tracer, metrics):
+            coordinator = FleetCoordinator(
+                config=config,
+                executor=executor,
+                workload=workload,
+                tracer=tracer,
+                metrics=metrics,
+            )
+            print(
+                f"coordinating {args.nets} nets over "
+                f"{args.sites * args.families} shared sites "
+                f"({objective.describe()}, {executor.describe()}) ...",
+                file=sys.stderr,
+            )
+            result = coordinator.coordinate(
+                specs,
+                checkpoint=args.checkpoint,
+                resume=args.resume,
+                checkpoint_fsync=not args.no_checkpoint_fsync,
+            )
     except WorkloadError as exc:
         print(f"fleet failed: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        if tracer is not None:
-            tracer.close()
-            print(f"trace written to {args.trace}", file=sys.stderr)
-    if metrics is not None:
-        metrics.write_prometheus(args.metrics)
-        print(f"metrics written to {args.metrics}", file=sys.stderr)
     violations: List[str] = []
     if args.audit:
         violations = audit_fleet(
@@ -1188,17 +1190,6 @@ def _run_fuzz(args: argparse.Namespace) -> int:
                 print(f"  {message}")
         return EXIT_FAILURE
 
-    tracer = None
-    metrics = None
-    if args.trace:
-        from .obs import EventSink, Tracer
-
-        tracer = Tracer(sink=EventSink(args.trace))
-    if args.metrics:
-        from .obs import MetricsRegistry
-
-        metrics = MetricsRegistry()
-
     config_kwargs = dict(
         iterations=args.iters,
         seed=args.seed,
@@ -1218,16 +1209,9 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         f"oracle on <= {args.oracle_sites} sites) ...",
         file=sys.stderr,
     )
-    try:
+    with _observability(args) as (tracer, metrics):
         report = run_fuzz(config, engine=engine, tracer=tracer,
                           metrics=metrics)
-    finally:
-        if tracer is not None:
-            tracer.close()
-            print(f"trace written to {args.trace}", file=sys.stderr)
-    if metrics is not None:
-        metrics.write_prometheus(args.metrics)
-        print(f"metrics written to {args.metrics}", file=sys.stderr)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:

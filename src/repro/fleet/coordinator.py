@@ -43,7 +43,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..batch.checkpoint import (
     CheckpointJournal,
-    JournalReader,
     check_fingerprint,
     read_checkpoint_header,
     result_from_json,
@@ -61,6 +60,7 @@ from ..batch.optimizer import (
     optimize_net,
 )
 from ..errors import ReproError, WorkloadError
+from ..journal import JournalReader
 from ..library.buffers import BufferLibrary, default_buffer_library
 from ..library.cells import CellLibrary, default_cell_library
 from ..library.technology import Technology, default_technology
@@ -833,12 +833,12 @@ class FleetCoordinator:
                             record["kind"] = "fleet_net"
                             record["round"] = index
                             record["true_slack"] = outcome.true_slack
-                            journal._write(record)
+                            journal.write(record)
                     record = self._round_record(
                         index, loop, len(targets), site_map, states
                     )
                     if journal is not None:
-                        journal._write(record.to_json())
+                        journal.write(record.to_json())
                     rounds.append(record)
                     self._observe_round(record)
                     converged = record.max_violation == 0

@@ -16,8 +16,9 @@ Layers:
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters /
   gauges / histograms with Prometheus-text and JSON exporters (and a
   parser for round-trips);
-* :mod:`repro.obs.events` — the JSONL :class:`EventSink` (checkpoint-
-  journal writer discipline: flush per record, torn tails tolerated);
+* :mod:`repro.obs.events` — the JSONL :class:`EventSink` (the shared
+  :class:`~repro.journal.JournalWriter`: flush per record, torn tails
+  tolerated);
 * :mod:`repro.obs.profile` — :class:`PhaseProfiler`, the opt-in wrapper
   around the DP phase methods of both engines;
 * :mod:`repro.obs.summary` — ``buffopt trace summarize`` digestion.

@@ -1,8 +1,7 @@
 """JSONL event sink: the durable backend of the tracing layer.
 
-One :class:`EventSink` owns one append-only JSONL file.  The writer
-discipline is the same torn-tail-tolerant one the batch checkpoint
-journal uses (:mod:`repro.batch.checkpoint`): every record is a single
+One :class:`EventSink` owns one JSONL file, written through the shared
+:class:`~repro.journal.JournalWriter`: every record is a single
 ``json.dumps`` line flushed per write, so a ``kill -9`` loses at most
 the record in flight; :func:`read_events` skips a torn *final* line but
 raises on interior corruption, which indicates real damage rather than
@@ -17,73 +16,35 @@ other subsystems can journal through it too.
 from __future__ import annotations
 
 import json
-import os
-import threading
 from pathlib import Path
-from typing import Any, Dict, List, TextIO, Union
+from typing import Any, Dict, List, Union
 
 from ..errors import ObservabilityError
+from ..journal import JournalWriter, open_fresh
 
 #: bump when the trace record schema changes incompatibly.
 TRACE_VERSION = 1
 
 
-class EventSink:
-    """Append-only JSONL writer, flushed per record.
+class EventSink(JournalWriter):
+    """A trace file: a new sink starts ``path`` over, and records are
+    flushed but not fsynced — traces are diagnostics, not recovery
+    state.  Writes are serialized, so concurrent server handler threads
+    can share one sink without interleaved or torn lines."""
 
-    ``fsync=True`` additionally fsyncs every record (the checkpoint
-    journal's durability level); the default leaves durability to the
-    OS because traces are diagnostics, not recovery state.
-
-    Writes are serialized by an internal lock, so concurrent server
-    handler threads can share one sink without interleaved or torn
-    lines (the obs concurrency test hammers this).
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        append: bool = False,
-        fsync: bool = False,
-    ):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fsync = fsync
-        self._lock = threading.Lock()
-        self._handle: TextIO = self.path.open(
-            "a" if append else "w", encoding="utf-8"
+    def __init__(self, path: Union[str, Path]):
+        super().__init__(
+            path, open_fresh(path), fsync=False, error=ObservabilityError
         )
-        self.emitted = 0
 
     def emit(self, record: Dict[str, Any]) -> None:
         """Write one record as one flushed JSONL line."""
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with self._lock:
-            if self._handle.closed:
-                raise ObservabilityError(
-                    f"event sink {self.path} is closed; no further records "
-                    "can be written"
-                )
-            self._handle.write(line)
-            self._handle.flush()
-            if self._fsync:
-                os.fsync(self._handle.fileno())
-            self.emitted += 1
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.close()
+        self.write(record)
 
     @property
-    def closed(self) -> bool:
-        return self._handle.closed
-
-    def __enter__(self) -> "EventSink":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def emitted(self) -> int:
+        """Records emitted so far."""
+        return self.written
 
 
 def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:

@@ -16,7 +16,7 @@ Two cooperating pieces:
   in flight or queued when the process died — come back as *pending*,
   in admission order, for the restarted server to re-enqueue.  A torn
   final line is tolerated (the writer was killed mid-write; counted on
-  the shared :data:`~repro.batch.checkpoint.TORN_TAIL_COUNTER` with
+  the shared :data:`~repro.journal.TORN_TAIL_COUNTER` with
   ``journal="service"``); torn *interior* lines and version mismatches
   raise :class:`~repro.errors.ServiceError`, because they mean
   corruption, not interruption.
@@ -30,15 +30,13 @@ response.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..batch.checkpoint import JournalReader
 from ..errors import ServiceError
+from ..journal import JournalReader, JournalWriter, read_header_line
 from .protocol import (
     COMPATIBLE_PROTOCOLS,
     PROTOCOL_VERSION,
@@ -51,70 +49,37 @@ from .protocol import (
 RECORD_KINDS = ("header", "accepted", "result")
 
 
-class ServiceJournal:
-    """Append-only, thread-safe JSONL writer for the request lifecycle.
-
-    ``fsync=True`` (the default) forces every record to stable storage —
-    the durability the restart guarantee is advertised under; with
-    ``fsync=False`` the per-line flush still covers process death, which
-    is the only fault a same-machine restart can observe anyway.
-    """
-
-    def __init__(
-        self, path: Union[str, Path], handle: TextIO, fsync: bool = True
-    ):
-        self.path = Path(path)
-        self._handle = handle
-        self._fsync = fsync
-        self._lock = threading.Lock()
+class ServiceJournal(JournalWriter):
+    """The request-lifecycle journal: a thread-safe
+    :class:`~repro.journal.JournalWriter` of ``accepted`` and ``result``
+    records.  ``fsync=True`` (the default) is the durability the restart
+    guarantee is advertised under."""
 
     @classmethod
     def create(
         cls, path: Union[str, Path], fsync: bool = True
     ) -> "ServiceJournal":
         """Start a fresh journal (truncating any previous file)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Truncate, then reopen O_APPEND: every flushed line must land at
-        # the true end of file even if another handle (a sidecar writer,
-        # an operator tool) appended in between — a plain "w" handle
-        # would silently overwrite those records at its own position.
-        path.open("w", encoding="utf-8").close()
-        journal = cls(path, path.open("a", encoding="utf-8"), fsync=fsync)
-        journal._write({
+        header = {
             "kind": "header",
             "journal": "service",
             "protocol": PROTOCOL_VERSION,
-        })
-        return journal
+        }
+        return super().create(path, header, fsync=fsync, error=ServiceError)
 
     @classmethod
     def append_to(
         cls, path: Union[str, Path], fsync: bool = True
     ) -> "ServiceJournal":
         """Reopen an existing journal for appending (header must parse)."""
-        path = Path(path)
         read_journal_header(path)
-        return cls(path, path.open("a", encoding="utf-8"), fsync=fsync)
-
-    def _write(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with self._lock:
-            if self._handle.closed:
-                raise ServiceError(
-                    f"service journal {self.path} is closed; no further "
-                    "records can be written"
-                )
-            self._handle.write(line)
-            self._handle.flush()
-            if self._fsync:
-                os.fsync(self._handle.fileno())
+        return cls.reopen(path, fsync=fsync, error=ServiceError)
 
     def record_accepted(
         self, fingerprint: str, request: CanonicalRequest, job_id: str
     ) -> None:
         """One admitted request: the promise the server must keep."""
-        self._write({
+        self.write({
             "kind": "accepted",
             "fingerprint": fingerprint,
             "job_id": job_id,
@@ -125,33 +90,16 @@ class ServiceJournal:
         self, fingerprint: str, response: Dict[str, Any]
     ) -> None:
         """One kept promise: the deterministic ``result`` + its ``meta``."""
-        self._write({
+        self.write({
             "kind": "result",
             "fingerprint": fingerprint,
             "response": response,
         })
 
-    def close(self) -> None:
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._handle.closed
-
 
 def read_journal_header(path: Union[str, Path]) -> Dict[str, Any]:
     """Parse and validate a service journal's header line."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        first = handle.readline()
-    try:
-        header = json.loads(first)
-    except json.JSONDecodeError:
-        raise ServiceError(
-            f"service journal {path} has no readable header line"
-        ) from None
+    header = read_header_line(path, ServiceError, "service journal")
     if header.get("kind") != "header" or header.get("journal") != "service":
         raise ServiceError(
             f"service journal {path} does not start with a service "

@@ -95,6 +95,9 @@ class TestJournalRoundtrip:
         path.write_text("not json\n")
         with pytest.raises(WorkloadError):
             read_checkpoint_header(path)
+        path.write_text("[1]\n")
+        with pytest.raises(WorkloadError, match="no readable header"):
+            read_checkpoint_header(path)
         path.write_text(json.dumps({"kind": "header", "version": 99}) + "\n")
         with pytest.raises(WorkloadError):
             read_checkpoint_header(path)
@@ -129,7 +132,7 @@ class TestJournalRoundtrip:
     def test_repair_torn_tail_on_zero_length_journal(self, tmp_path):
         """A crash before the header write leaves a 0-byte journal;
         repair must be a no-op on it, not an IndexError on lines[-1]."""
-        from repro.batch.checkpoint import repair_torn_tail
+        from repro.journal import repair_torn_tail
 
         path = tmp_path / "empty.jsonl"
         path.write_bytes(b"")
@@ -140,12 +143,22 @@ class TestJournalRoundtrip:
         """A journal whose entire content is one unterminated fragment
         (killed mid-header) truncates back to zero bytes, leaving a
         file the next create() can safely overwrite."""
-        from repro.batch.checkpoint import repair_torn_tail
+        from repro.journal import repair_torn_tail
 
         path = tmp_path / "torn.jsonl"
         path.write_text('{"kind": "head')
         repair_torn_tail(path, ['{"kind": "head'])
         assert path.stat().st_size == 0
+
+    def test_write_after_close_raises_workload_error(self, tmp_path):
+        path = tmp_path / "closed.jsonl"
+        journal = CheckpointJournal.create(path, {"mode": "buffopt"})
+        journal.close()
+        assert journal.closed
+        with pytest.raises(WorkloadError, match="closed") as excinfo:
+            journal.write({"kind": "result", "name": "late"})
+        assert str(path) in str(excinfo.value)
+        assert len(path.read_text().splitlines()) == 1
 
     def test_resume_requires_checkpoint_path(self, batch):
         _, _, optimizer, specs = batch
@@ -347,7 +360,7 @@ class TestDurabilityControls:
     def test_torn_tail_recovery_is_counted_and_repaired(
         self, batch, tmp_path
     ):
-        from repro.batch.checkpoint import TORN_TAIL_COUNTER
+        from repro.journal import TORN_TAIL_COUNTER
         from repro.obs import MetricsRegistry
 
         workload, config, optimizer, specs = batch
@@ -371,7 +384,7 @@ class TestDurabilityControls:
         assert set(reloaded) == set(loaded)
 
     def test_clean_load_counts_nothing(self, batch, tmp_path):
-        from repro.batch.checkpoint import TORN_TAIL_COUNTER
+        from repro.journal import TORN_TAIL_COUNTER
         from repro.obs import MetricsRegistry
 
         _, _, optimizer, specs = batch
@@ -384,12 +397,12 @@ class TestDurabilityControls:
     def test_fsync_flag_controls_the_fsync_calls(
         self, batch, tmp_path, monkeypatch
     ):
-        import repro.batch.checkpoint as checkpoint_module
+        import repro.journal as journal_module
 
         _, _, optimizer, specs = batch
         calls = []
         monkeypatch.setattr(
-            checkpoint_module.os, "fsync", lambda fd: calls.append(fd)
+            journal_module.os, "fsync", lambda fd: calls.append(fd)
         )
         synced = tmp_path / "synced.jsonl"
         optimizer.optimize(specs[:2], checkpoint=synced)
@@ -405,11 +418,11 @@ class TestDurabilityControls:
         assert len(load_checkpoint(lazy, optimizer.library)) == 2
 
     def test_cli_flag_disables_fsync(self, tmp_path, monkeypatch):
-        import repro.batch.checkpoint as checkpoint_module
+        import repro.journal as journal_module
 
         calls = []
         monkeypatch.setattr(
-            checkpoint_module.os, "fsync", lambda fd: calls.append(fd)
+            journal_module.os, "fsync", lambda fd: calls.append(fd)
         )
         path = tmp_path / "cli.jsonl"
         assert cli_main([

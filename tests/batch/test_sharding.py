@@ -27,7 +27,7 @@ from repro.batch import (
     net_shard,
     read_checkpoint_header,
 )
-from repro.batch.checkpoint import TORN_TAIL_COUNTER
+from repro.journal import TORN_TAIL_COUNTER
 from repro.obs import MetricsRegistry
 from repro.workloads import WorkloadConfig, population_specs
 

@@ -55,14 +55,10 @@ def test_emit_after_close_raises(tmp_path):
         sink.emit({"index": 1})
 
 
-def test_append_mode_preserves_existing_records(tmp_path):
+def test_new_sink_starts_the_file_over(tmp_path):
     path = tmp_path / "trace.jsonl"
     with EventSink(path) as sink:
         sink.emit({"index": 0})
-    with EventSink(path, append=True) as sink:
-        sink.emit({"index": 1})
-    assert [r["index"] for r in read_events(path)] == [0, 1]
-    # the default (truncate) mode starts the file over
     with EventSink(path) as sink:
         sink.emit({"index": 9})
     assert [r["index"] for r in read_events(path)] == [9]

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.errors import ServiceError
-from repro.batch.checkpoint import TORN_TAIL_COUNTER
+from repro.journal import TORN_TAIL_COUNTER
 from repro.obs import MetricsRegistry
 from repro.service import (
     ResultCache,
@@ -99,11 +99,11 @@ class TestJournalRoundtrip:
             journal.record_result("f" * 64, _response())
 
     def test_fsync_flag_controls_the_fsync_calls(self, tmp_path, monkeypatch):
-        import repro.service.cache as cache_module
+        import repro.journal as journal_module
 
         calls = []
         monkeypatch.setattr(
-            cache_module.os, "fsync", lambda fd: calls.append(fd)
+            journal_module.os, "fsync", lambda fd: calls.append(fd)
         )
         synced = ServiceJournal.create(tmp_path / "synced.jsonl", fsync=True)
         synced.record_result("a" * 64, _response())
@@ -129,6 +129,7 @@ class TestHeaderValidation:
     @pytest.mark.parametrize("first_line", [
         "",                                            # empty file
         "not json\n",
+        "[1]\n",                                       # JSON, not an object
         json.dumps({"kind": "header", "journal": "batch"}) + "\n",
         json.dumps(
             {"kind": "header", "journal": "service", "protocol": 99}
@@ -177,6 +178,14 @@ class TestCorruption:
         lines.insert(1, '{"kind": "result", "fing')  # torn, NOT at the tail
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ServiceError, match="corrupt"):
+            recover_journal(path)
+
+    def test_non_object_record_raises(self, tmp_path):
+        path = tmp_path / "service.jsonl"
+        ServiceJournal.create(path).close()
+        with path.open("a") as handle:
+            handle.write("[1]\n")
+        with pytest.raises(ServiceError, match="line 2 is corrupt"):
             recover_journal(path)
 
     def test_fingerprint_mismatch_raises(self, tmp_path):

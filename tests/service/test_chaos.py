@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.batch.checkpoint import TORN_TAIL_COUNTER
+from repro.journal import TORN_TAIL_COUNTER
 from repro.batch.resilience import RetryPolicy
 from repro.errors import WorkloadError
 from repro.service import (
