@@ -164,11 +164,11 @@ def overhead_gate(sinks: int, repeats: int, budget: float = 0.02) -> bool:
     :func:`repro.api.dp_result` facade with all instrumentation
     disabled — it must stay within ``budget`` (2 %) of the baseline,
     best-of-``repeats`` each, interleaved to even out thermal drift.
-    The traced+profiled run is measured and reported alongside (not
-    gated) so regressions in *enabled* overhead stay visible too.
+    The run with per-phase timing on (``collect_stats=True``) is
+    measured and reported alongside (not gated) so regressions in
+    *enabled* overhead stay visible too.
     """
     from repro.api import dp_result
-    from repro.obs import PhaseProfiler
 
     library = default_buffer_library().restricted(list(EIGHT_BUFFER_NAMES))
     coupling = CouplingModel.estimation_mode(default_technology())
@@ -177,7 +177,6 @@ def overhead_gate(sinks: int, repeats: int, budget: float = 0.02) -> bool:
         noise_aware=True, track_counts=True, max_buffers=4,
         engine="reference",
     )
-    profiler = PhaseProfiler()
     raw_best = facade_best = traced_best = float("inf")
     for _ in range(repeats):
         start = perf_counter()
@@ -193,20 +192,19 @@ def overhead_gate(sinks: int, repeats: int, budget: float = 0.02) -> bool:
         start = perf_counter()
         traced = dp_result(
             tree, library, coupling, objective=BUFFOPT, max_buffers=4,
-            profile=profiler,
+            collect_stats=True,
         )
         traced_best = min(traced_best, perf_counter() - start)
-        profiler.finish()
 
     assert raw.outcomes == plain.outcomes == traced.outcomes, (
-        "facade/profiled runs diverged from the raw engine"
+        "facade/timed runs diverged from the raw engine"
     )
     overhead = facade_best / raw_best - 1.0
     traced_overhead = traced_best / raw_best - 1.0
     print(
         f"facade overhead (obs disabled): {overhead * 100:+5.2f}% "
         f"(gate: <= {budget * 100:.0f}%)   "
-        f"traced+profiled: {traced_overhead * 100:+5.2f}% (reported only)"
+        f"phase-timed: {traced_overhead * 100:+5.2f}% (reported only)"
     )
     if overhead > budget:
         print(

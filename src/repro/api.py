@@ -43,13 +43,7 @@ from .library.cells import DriverCell
 from .library.power import PowerModel, default_power_model
 from .library.technology import Technology, default_technology
 from .noise.coupling import CouplingModel
-from .obs import (
-    NULL_TRACER,
-    EventSink,
-    MetricsRegistry,
-    PhaseProfiler,
-    Tracer,
-)
+from .obs import NULL_TRACER, EventSink, MetricsRegistry, Tracer
 from .tree.segmenting import segment_tree
 from .tree.topology import RoutingTree
 from .units import UM
@@ -67,7 +61,6 @@ def dp_result(
     collect_stats: bool = False,
     budget: Optional[RunBudget] = None,
     engine: str = "reference",
-    profile: Optional[PhaseProfiler] = None,
     frontier_cache=None,
     site_prices=None,
     power: Optional[PowerModel] = None,
@@ -85,12 +78,11 @@ def dp_result(
     every outcome carry its accumulated buffer + wire power; when the
     objective needs power (``min-power`` / ``power-capped`` /
     ``pareto`` selections) and none is given, the default model is
-    used.  ``profile`` optionally installs a
-    :class:`~repro.obs.PhaseProfiler` on the engine; ``None`` (the
-    default) leaves both engines byte-for-byte uninstrumented.
-    ``frontier_cache`` (a :class:`~repro.core.eco.FrontierCache`)
-    enables ECO subtree reuse across repeated runs of locally edited
-    nets; reference engine only.  ``site_prices`` (node name ->
+    used.  ``collect_stats`` puts an
+    :class:`~repro.core.stats.EngineStats` record on the result,
+    per-phase wall time included.  ``frontier_cache`` (a
+    :class:`~repro.core.eco.FrontierCache`) enables ECO subtree reuse
+    across repeated runs of locally edited nets; reference engine only.  ``site_prices`` (node name ->
     nonnegative price) threads Lagrangian shared-site costs into the
     buffer-insertion cost term (see
     :attr:`~repro.core.dp.DPOptions.site_prices`); outcome slacks are
@@ -117,7 +109,6 @@ def dp_result(
         collect_stats=collect_stats,
         budget=budget,
         engine=engine,
-        profile=profile,
         frontier_cache=frontier_cache,
         site_prices=site_prices,
         power=power,
@@ -146,15 +137,13 @@ class SessionOptions:
     #: wire segmentation applied before the DP; ``None`` skips it.
     max_segment_length: Optional[float] = 500 * UM
     enforce_polarity: bool = True
-    #: collect :class:`~repro.core.stats.EngineStats` per net.
+    #: collect :class:`~repro.core.stats.EngineStats` per net, which
+    #: also fills :attr:`OptimizeResult.phase_seconds` and feeds the
+    #: ``buffopt_dp_phase_seconds`` histogram.
     collect_stats: bool = False
     #: cooperative per-net deadline / candidate budget (as in batch).
     net_deadline: Optional[float] = None
     net_max_candidates: Optional[int] = None
-    #: wrap the DP phase methods with a per-session
-    #: :class:`~repro.obs.PhaseProfiler` (per-phase wall time on every
-    #: :class:`OptimizeResult`; ``False`` = engines untouched).
-    profile_phases: bool = False
     #: write a JSONL span/event trace of the session here (``None`` =
     #: no trace; in-memory spans are kept only when tracing is on).
     trace_path: Optional[str] = None
@@ -204,7 +193,8 @@ class OptimizeResult:
     tree: RoutingTree
     result: DPResult
     outcome: DPOutcome
-    #: per-phase engine wall time, present when the session profiles.
+    #: per-phase engine wall time (``EngineStats.phase_seconds``),
+    #: present when the session collects stats.
     phase_seconds: Optional[Dict[str, float]] = None
     #: the objective the selection answered (provenance).
     objective: Optional[Objective] = None
@@ -293,9 +283,12 @@ class Session:
         else:
             self.tracer = NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.profiler = (
-            PhaseProfiler(metrics=self.metrics)
-            if self.options.profile_phases
+        self._phase_histogram = (
+            self.metrics.histogram(
+                "buffopt_dp_phase_seconds",
+                "wall-clock seconds per DP phase per run",
+            )
+            if self.options.collect_stats
             else None
         )
         self._nets = self.metrics.counter(
@@ -361,7 +354,6 @@ class Session:
                     collect_stats=options.collect_stats,
                     budget=budget,
                     engine=options.engine,
-                    profile=self.profiler,
                     power=self.power_model,
                 )
                 outcome = result.select(objective)
@@ -372,9 +364,11 @@ class Session:
                 )
                 raise
             seconds = perf_counter() - start
-            phase_seconds = (
-                None if self.profiler is None else self.profiler.finish()
-            )
+            phase_seconds = None
+            if result.stats is not None:
+                phase_seconds = dict(result.stats.phase_seconds)
+                for phase, spent in phase_seconds.items():
+                    self._phase_histogram.observe(spent, phase=phase)
             span.annotate(
                 buffer_count=outcome.buffer_count,
                 slack=outcome.slack,

@@ -1132,7 +1132,6 @@ def _run_export(args: argparse.Namespace) -> int:
 
 
 def _run_fuzz(args: argparse.Namespace) -> int:
-    from .core.objective import Objective
     from .verify import (
         FuzzConfig,
         engine_for,
@@ -1143,12 +1142,10 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         run_fuzz,
     )
 
-    modes = None
+    modes = None  # no --objective: fuzz every mode
     if args.objective is not None:
-        try:
-            objective = Objective.parse(args.objective)
-        except ValueError as exc:
-            print(f"buffopt fuzz: bad --objective: {exc}", file=sys.stderr)
+        objective = _resolve_objective_flags(args, command="fuzz")
+        if objective is None:
             return EXIT_USAGE
         modes = (
             objective.mode + ("-power" if objective.power_aware else ""),
@@ -1230,14 +1227,8 @@ def _run_serve(args: argparse.Namespace) -> int:
         run_stdio,
     )
 
-    if args.objective is not None:
-        from .core.objective import Objective
-
-        try:
-            Objective.parse(args.objective)
-        except ValueError as exc:
-            print(f"buffopt serve: bad --objective: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    if _resolve_objective_flags(args, command="serve") is None:
+        return EXIT_USAGE
 
     events = None
     if args.events:

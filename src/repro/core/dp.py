@@ -101,7 +101,12 @@ ENGINE_CHOICES = ENGINES + tuple(_ENGINE_ALIASES)
 
 @dataclass(frozen=True)
 class DPOptions:
-    """Engine configuration; defaults give the plain Van Ginneken setup."""
+    """Engine configuration; defaults give the plain Van Ginneken setup.
+
+    ``collect_stats``, ``budget`` and ``frontier_cache`` control how a
+    run is observed, bounded and reused; none of them changes its
+    outcomes or candidate counters.
+    """
 
     noise_aware: bool = False
     track_counts: bool = False
@@ -117,27 +122,26 @@ class DPOptions:
     engine: str = "reference"
     #: enable Lillis-style simultaneous wire sizing with this width menu.
     sizing: Optional[WireSizingSpec] = None
-    #: collect an :class:`~repro.core.stats.EngineStats` telemetry record
-    #: on the result (never changes the candidate arithmetic).
+    #: collect an :class:`~repro.core.stats.EngineStats` record on the
+    #: result: per-node counters and the wall time of each phase (merge,
+    #: buffering, wire, prune, finalize), timed inline by the one visit
+    #: loop both engines run.  This is the only DP phase timer; off, the
+    #: loop pays one ``is None`` check per phase.  Never changes the
+    #: candidate arithmetic: outcomes and counters are bit-identical
+    #: either way.
     collect_stats: bool = False
     #: cooperative deadline / candidate budget, checked once per node
     #: visit; ``None`` runs unguarded.  Budgets are stateful — pass a
     #: fresh (or restarted) one per run.
     budget: Optional[RunBudget] = None
-    #: opt-in phase profiler (any object with an ``install(engine)``
-    #: method, canonically :class:`~repro.obs.PhaseProfiler`) wrapping
-    #: the engine's phase methods.  ``None`` — the default — leaves the
-    #: engine byte-for-byte uninstrumented: the only cost of the hook
-    #: is one ``is None`` check per :func:`run_dp` call (the bench
-    #: overhead gate pins this).  Profiling never changes candidate
-    #: arithmetic, so profiled runs stay bit-identical.
-    profile: Optional[object] = None
     #: opt-in ECO frontier cache (:class:`~repro.core.eco.FrontierCache`).
-    #: The engine restores whole unchanged subtrees from it and stores a
-    #: snapshot at every node it does visit, making incremental re-runs
-    #: after a local edit bit-identical to cold runs at a fraction of
-    #: the work.  Reference engine only: the lishi engine uses an
-    #: incompatible internal frontier representation.
+    #: The visit loop restores whole unchanged subtrees from it (with
+    #: their candidate-accounting deltas) and stores a snapshot at every
+    #: node it does visit, making incremental re-runs after a local edit
+    #: bit-identical to cold runs at a fraction of the work.  Reference
+    #: engine only: the lishi engine uses an incompatible internal
+    #: frontier representation.  Excludes ``collect_stats``: skipped
+    #: subtrees have no per-node records.
     frontier_cache: Optional[object] = None
     #: per-node Lagrangian buffer-site prices (node name -> nonnegative
     #: finite price, in slack units).  A buffer inserted at a priced node
@@ -196,13 +200,6 @@ class DPOptions:
             raise ValueError(
                 "max_buffers requires track_counts=True (candidate counts "
                 "must be part of the frontier to cap them soundly)"
-            )
-        if self.profile is not None and not callable(
-            getattr(self.profile, "install", None)
-        ):
-            raise ValueError(
-                "profile must expose an install(engine) method (use "
-                f"repro.obs.PhaseProfiler), got {self.profile!r}"
             )
         if self.frontier_cache is not None:
             if self.engine != "reference":
@@ -549,7 +546,22 @@ def _presorted_timing_frontier(
     return kept
 
 
-class _Engine:
+class _EngineBase:
+    """Construction, counters and the one bottom-up visit loop.
+
+    Both engines run the paper's Fig. 10 recurrence in the same order —
+    children before parents, and at each node the sink base (or the
+    merge of the children's frontiers plus buffer insertion), then the
+    parent wire, the prune and the budget charge — and differ only in
+    how a frontier is represented.  Subclasses supply the phases
+    (``_sink_base``, ``_merge_children``, ``_insert_buffers``,
+    ``_apply_wire``, ``_prune`` returning ``(dropped, surviving)`` and
+    ``_finalize``) and the :attr:`name` their telemetry carries.
+    """
+
+    #: the :attr:`~repro.core.stats.EngineStats.engine` label.
+    name = ""
+
     def __init__(
         self,
         tree: RoutingTree,
@@ -571,178 +583,131 @@ class _Engine:
         self.prune_presorted = 0
         self.prune_sorts = 0
         self.stats: Optional[EngineStats] = (
-            EngineStats(engine="reference") if options.collect_stats else None
+            EngineStats(engine=self.name) if options.collect_stats else None
         )
-
-    # -- candidate algebra ---------------------------------------------------
-
-    def _count_key(self, count: int) -> int:
-        return count if self.options.track_counts else 0
 
     def run(self) -> DPResult:
-        if self.options.frontier_cache is not None:
-            return self._run_with_cache(self.options.frontier_cache)
-        if self.stats is not None:
-            return self._run_instrumented()
-        budget = self.options.budget
-        lists: Dict[str, _Groups] = {}
-        for node in self.tree.postorder():
-            if node.is_sink:
-                groups = self._sink_base(node)
-            else:
-                groups = self._merge_children(node, lists)
-                self._insert_buffers(node, groups)
-                for child in node.children:
-                    del lists[child.name]
-            if node.parent_wire is not None:
-                self._apply_wire(node.parent_wire, groups)
-            self._prune(groups)
-            if budget is not None:
-                budget.charge(self.generated, self.tree.name, node.name)
-            lists[node.name] = groups
-        return self._finalize(lists[self.tree.source.name])
+        """Visit every node once, children first; finalize at the source.
 
-    def _counter_state(self) -> Tuple[int, int, int, int, int]:
-        return (
-            self.generated, self.dead, self.merge_forks,
-            self.prune_presorted, self.prune_sorts,
-        )
-
-    def _run_with_cache(self, cache) -> DPResult:
-        """The :meth:`run` visit loop with ECO subtree reuse.
-
-        An explicit DFS stack (deep trees must not recurse) skips whole
-        subtrees whose fingerprint the cache answers, restoring their
-        frontier *and* their candidate-accounting deltas so the result —
-        outcomes, ``candidates_generated``, ``candidates_kept_peak`` —
-        is bit-identical to a cold run.  Every node computed the long
-        way is stored back, so a cold run with an empty cache doubles as
-        the populate pass.
+        An explicit stack (deep trees must not recurse) pops each node
+        twice: on the first pop it is expanded, on the second visited.
+        With ``options.collect_stats`` each visit opens a
+        :class:`~repro.core.stats.NodeStats` record and times its phases
+        inline.  With ``options.frontier_cache`` (reference engine only)
+        the expansion first asks the cache for the whole subtree and, on
+        a hit, restores its frontier *and* its candidate-accounting
+        deltas instead of descending, so outcomes,
+        ``candidates_generated`` and ``candidates_kept_peak`` stay
+        bit-identical to a cold run; every visited node is stored back,
+        so a cold run with an empty cache doubles as the populate pass.
         """
-        from .eco import FrontierSnapshot, context_key, subtree_fingerprints
+        options = self.options
+        budget = options.budget
+        stats = self.stats
+        cache = options.frontier_cache
+        if cache is not None:
+            from .eco import FrontierSnapshot, context_key, subtree_fingerprints
 
-        budget = self.options.budget
-        fingerprints = subtree_fingerprints(
-            self.tree,
-            context_key(self.library, self.coupling, self.options),
-        )
-        lists: Dict[str, _Groups] = {}
-        counters_at_start: Dict[str, Tuple[int, int, int, int, int]] = {}
-        subtree_nodes: Dict[str, int] = {}
-        subtree_peak: Dict[str, int] = {}
+            fingerprints = subtree_fingerprints(
+                self.tree, context_key(self.library, self.coupling, options)
+            )
+            counters_at_start: Dict[str, Tuple[int, int, int, int, int]] = {}
+            subtree_nodes: Dict[str, int] = {}
+            subtree_peak: Dict[str, int] = {}
+        lists: Dict[str, object] = {}
         stack: List[Tuple[Node, bool]] = [(self.tree.source, False)]
         while stack:
             node, expanded = stack.pop()
             if not expanded:
-                snapshot = cache.lookup(fingerprints[node.name])
-                if snapshot is not None:
-                    lists[node.name] = snapshot.restore_groups()
-                    self.generated += snapshot.generated
-                    self.dead += snapshot.dead
-                    self.merge_forks += snapshot.merge_forks
-                    self.prune_presorted += snapshot.prune_presorted
-                    self.prune_sorts += snapshot.prune_sorts
-                    self.kept_peak = max(self.kept_peak, snapshot.kept_peak)
-                    subtree_nodes[node.name] = snapshot.node_count
-                    subtree_peak[node.name] = snapshot.kept_peak
-                    if budget is not None:
-                        budget.charge(
-                            self.generated, self.tree.name, node.name
-                        )
-                    continue
-                counters_at_start[node.name] = self._counter_state()
-                stack.append((node, True))
-                for child in reversed(node.children):
-                    stack.append((child, False))
-                continue
-            if node.is_sink:
-                groups = self._sink_base(node)
-                child_nodes = 0
-                child_peak = 0
-            else:
-                groups = self._merge_children(node, lists)
-                self._insert_buffers(node, groups)
-                child_nodes = 0
-                child_peak = 0
-                for child in node.children:
-                    del lists[child.name]
-                    child_nodes += subtree_nodes.pop(child.name)
-                    child_peak = max(
-                        child_peak, subtree_peak.pop(child.name)
+                if cache is not None:
+                    snapshot = cache.lookup(fingerprints[node.name])
+                    if snapshot is not None:
+                        lists[node.name] = snapshot.restore_groups()
+                        self.generated += snapshot.generated
+                        self.dead += snapshot.dead
+                        self.merge_forks += snapshot.merge_forks
+                        self.prune_presorted += snapshot.prune_presorted
+                        self.prune_sorts += snapshot.prune_sorts
+                        self.kept_peak = max(self.kept_peak, snapshot.kept_peak)
+                        subtree_nodes[node.name] = snapshot.node_count
+                        subtree_peak[node.name] = snapshot.kept_peak
+                        if budget is not None:
+                            budget.charge(
+                                self.generated, self.tree.name, node.name
+                            )
+                        continue
+                    counters_at_start[node.name] = (
+                        self.generated, self.dead, self.merge_forks,
+                        self.prune_presorted, self.prune_sorts,
                     )
-            if node.parent_wire is not None:
-                self._apply_wire(node.parent_wire, groups)
-            _, frontier_total = self._prune(groups)
-            if budget is not None:
-                budget.charge(self.generated, self.tree.name, node.name)
-            lists[node.name] = groups
-            node_count = child_nodes + 1
-            peak = max(child_peak, frontier_total)
-            subtree_nodes[node.name] = node_count
-            subtree_peak[node.name] = peak
-            before = counters_at_start.pop(node.name)
-            # The tuples freeze the list *contents*; the candidates and
-            # their chains are immutable and shared, never copied.
-            cache.store(fingerprints[node.name], FrontierSnapshot(
-                groups=tuple(
-                    (key, tuple(candidates))
-                    for key, candidates in groups.items()
-                ),
-                node_count=node_count,
-                generated=self.generated - before[0],
-                dead=self.dead - before[1],
-                merge_forks=self.merge_forks - before[2],
-                prune_presorted=self.prune_presorted - before[3],
-                prune_sorts=self.prune_sorts - before[4],
-                kept_peak=peak,
-            ))
-        return self._finalize(lists[self.tree.source.name])
-
-    def _run_instrumented(self) -> DPResult:
-        """The same visit loop as :meth:`run`, with telemetry around each
-        phase.  Kept separate so plain runs pay zero instrumentation cost;
-        candidate arithmetic is shared, so both paths return identical
-        solutions (asserted by the differential harness)."""
-        stats = self.stats
-        assert stats is not None
-        budget = self.options.budget
-        lists: Dict[str, _Groups] = {}
-        for node in self.tree.postorder():
-            record = stats.open_node(node.name)
-            generated_before = self.generated
-            dead_before = self.dead
-            forks_before = self.merge_forks
+                stack.append((node, True))
+                stack.extend(
+                    [(child, False) for child in reversed(node.children)]
+                )
+                continue
+            if stats is not None:
+                record = stats.open_node(node.name)
+                before = (self.generated, self.dead, self.merge_forks)
+                start = perf_counter()
             if node.is_sink:
-                groups = self._sink_base(node)
+                frontier = self._sink_base(node)
             else:
-                start = perf_counter()
-                groups = self._merge_children(node, lists)
-                stats.add_phase("merge", perf_counter() - start)
-                start = perf_counter()
-                self._insert_buffers(node, groups)
-                stats.add_phase("buffering", perf_counter() - start)
+                frontier = self._merge_children(node, lists)
+                if stats is not None:
+                    start = stats.lap("merge", start)
+                self._insert_buffers(node, frontier)
+                if stats is not None:
+                    start = stats.lap("buffering", start)
                 for child in node.children:
                     del lists[child.name]
             if node.parent_wire is not None:
-                start = perf_counter()
-                self._apply_wire(node.parent_wire, groups)
-                stats.add_phase("wire", perf_counter() - start)
-            start = perf_counter()
-            dropped, frontier = self._prune(groups)
-            stats.add_phase("prune", perf_counter() - start)
-            record.generated = self.generated - generated_before
-            record.dead = self.dead - dead_before
-            record.merge_forks = self.merge_forks - forks_before
-            record.pruned = dropped
-            record.frontier = frontier
-            stats.candidates_pruned += dropped
-            stats.frontier_peak = max(stats.frontier_peak, frontier)
+                self._apply_wire(node.parent_wire, frontier)
+                if stats is not None:
+                    start = stats.lap("wire", start)
+            dropped, surviving = self._prune(frontier)
+            if stats is not None:
+                stats.lap("prune", start)
+                record.generated = self.generated - before[0]
+                record.dead = self.dead - before[1]
+                record.merge_forks = self.merge_forks - before[2]
+                record.pruned = dropped
+                record.frontier = surviving
+                stats.candidates_pruned += dropped
+                stats.frontier_peak = max(stats.frontier_peak, surviving)
             if budget is not None:
                 budget.charge(self.generated, self.tree.name, node.name)
-            lists[node.name] = groups
-        start = perf_counter()
+            lists[node.name] = frontier
+            if cache is not None:
+                node_count = 1
+                peak = surviving
+                for child in node.children:
+                    node_count += subtree_nodes.pop(child.name)
+                    peak = max(peak, subtree_peak.pop(child.name))
+                subtree_nodes[node.name] = node_count
+                subtree_peak[node.name] = peak
+                before_node = counters_at_start.pop(node.name)
+                # The tuples freeze the list *contents* of the reference
+                # engine's groups; the candidates and their chains are
+                # immutable and shared, never copied.
+                cache.store(fingerprints[node.name], FrontierSnapshot(
+                    groups=tuple(
+                        (key, tuple(candidates))
+                        for key, candidates in frontier.items()
+                    ),
+                    node_count=node_count,
+                    generated=self.generated - before_node[0],
+                    dead=self.dead - before_node[1],
+                    merge_forks=self.merge_forks - before_node[2],
+                    prune_presorted=self.prune_presorted - before_node[3],
+                    prune_sorts=self.prune_sorts - before_node[4],
+                    kept_peak=peak,
+                ))
+        if stats is not None:
+            start = perf_counter()
         result = self._finalize(lists[self.tree.source.name])
-        stats.add_phase("finalize", perf_counter() - start)
+        if stats is None:
+            return result
+        stats.lap("finalize", start)
         stats.candidates_generated = self.generated
         stats.candidates_dead = self.dead
         stats.merge_forks = self.merge_forks
@@ -753,6 +718,22 @@ class _Engine:
             stats.budget_candidate_pressure = budget.candidate_pressure
             stats.budget_time_pressure = budget.time_pressure
         return result
+
+
+class _Engine(_EngineBase):
+    """The reference engine: one frozen :class:`DPCandidate` per candidate.
+
+    Frontiers are ``_Groups`` dicts; every phase materializes its
+    outputs, which keeps the recurrence readable line by line against
+    the paper.
+    """
+
+    name = "reference"
+
+    # -- candidate algebra ---------------------------------------------------
+
+    def _count_key(self, count: int) -> int:
+        return count if self.options.track_counts else 0
 
     def _sink_base(self, node: Node) -> _Groups:
         assert node.sink is not None
@@ -1248,8 +1229,4 @@ def run_dp(
         engine = LiShiEngine(tree, library, coupling, options, driver)
     else:
         engine = _Engine(tree, library, coupling, options, driver)
-    if options.profile is not None:
-        # Wraps this instance's phase methods only; unprofiled runs skip
-        # the whole branch (the no-overhead-when-off contract).
-        options.profile.install(engine)
     return engine.run()

@@ -56,8 +56,8 @@ def context_key(
 
     ``options`` is a :class:`~repro.core.dp.DPOptions`; only its
     solution-relevant fields participate (``collect_stats`` / ``budget``
-    / ``profile`` never change candidate arithmetic, and the engine is
-    pinned to ``"reference"`` by :func:`~repro.core.dp.run_dp` anyway).
+    never change candidate arithmetic, and ``DPOptions`` pins the
+    engine to ``"reference"`` whenever a cache is set).
     """
     parts: List[str] = []
     for buffer in library:

@@ -56,8 +56,10 @@ and ``docs/algorithms.md`` §8):
   stored coordinates, so the upper concave hull of the *stored*
   ``(C0, q0)`` points answers every buffer query at every later node:
   wires only shift the query slope.  The hull is maintained
-  incrementally (buffered insertions and merge clamps are O(log H)
-  inserts, merge truncation is a suffix cut) and queried with one
+  incrementally (buffered insertions are O(log H) inserts; a merge
+  clamp cuts the hull suffix at its load and re-extends it from the
+  group's candidates right of the last kept vertex, which the cut
+  vertices may have hidden under the hull) and queried with one
   monotone pointer walk per node over the resistance-sorted buffer
   menu: O(H + b) instead of O(b·F) scans.  Pruned candidates may leave
   stale hull references, but a candidate evicted at accumulated
@@ -78,27 +80,25 @@ materialized, load-sorted passes whose timing prune is a single no-sort
 scan whenever the frontier arrives presorted (the
 ``prune_presorted`` / ``prune_sorts`` telemetry).
 
-Phase-method names (``_merge_children`` / ``_insert_buffers`` /
-``_apply_wire`` / ``_prune`` for :class:`~repro.obs.PhaseProfiler`),
-counters, budget charging and the visit loop mirror the reference
-engine.
+Only the phases live here.  Construction, the candidate counters,
+telemetry, budget charging and the node-visit loop are shared with the
+reference engine through :class:`~repro.core.dp._EngineBase`, so both
+engines visit nodes in the same order and time the same phases.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from heapq import merge as _heap_merge
 from operator import itemgetter
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from ..library.buffers import BufferLibrary
 from ..library.cells import DriverCell
 from ..noise.coupling import CouplingModel
 from ..tree.topology import Node, RoutingTree, Wire
-from .dp import DPOptions, DPOutcome, DPResult, Insertion
-from .stats import EngineStats
+from .dp import DPOptions, DPOutcome, DPResult, Insertion, _EngineBase
 from .wire_sizing import WireChoice
 
 # A candidate is (load, slack, current, noise_slack, chain, wire_chain,
@@ -183,13 +183,16 @@ class _Frontier:
         )
 
 
-class LiShiEngine:
+class LiShiEngine(_EngineBase):
     """Drop-in sibling of the reference engine (``engine="lishi"``).
 
-    Construction, counters, telemetry and budget charging mirror
-    :class:`~repro.core.dp._Engine`; results are semantically
-    equivalent, not bit-identical (module docstring).
+    Construction, counters, telemetry, budget charging and the visit
+    loop are the shared :class:`~repro.core.dp._EngineBase`; only the
+    phases differ.  Results are semantically equivalent to the
+    reference, not bit-identical (module docstring).
     """
+
+    name = "lishi"
 
     def __init__(
         self,
@@ -199,20 +202,7 @@ class LiShiEngine:
         options: DPOptions,
         driver: DriverCell,
     ):
-        self.tree = tree
-        self.library = library
-        self.coupling = coupling
-        self.options = options
-        self.driver = driver
-        self.generated = 0
-        self.kept_peak = 0
-        self.dead = 0
-        self.merge_forks = 0
-        self.prune_presorted = 0
-        self.prune_sorts = 0
-        self.stats: Optional[EngineStats] = (
-            EngineStats(engine="lishi") if options.collect_stats else None
-        )
+        super().__init__(tree, library, coupling, options, driver)
         # (buffer, R, Cin, D, NM, inv) rows hoisted out of the buffering
         # scans, plus the same rows sorted by descending resistance for
         # the hull walk.
@@ -228,7 +218,6 @@ class LiShiEngine:
             for b in library
         ]
         self._buffers_desc = sorted(self._buffers, key=lambda row: -row[1])
-        self.power = options.power
         # The lazy/merge/hull shortcuts are only reference-equivalent
         # when the prune is the (load, slack) frontier and nothing can
         # die of noise between eviction and the node's prune.  Power
@@ -241,82 +230,6 @@ class LiShiEngine:
             and not options.noise_aware
             and options.power is None
         )
-
-    # -- visit loop ----------------------------------------------------------
-
-    def run(self) -> DPResult:
-        if self.stats is not None:
-            return self._run_instrumented()
-        budget = self.options.budget
-        lists: Dict[str, _Frontier] = {}
-        for node in self.tree.postorder():
-            if node.is_sink:
-                frontier = self._sink_base(node)
-            else:
-                frontier = self._merge_children(node, lists)
-                self._insert_buffers(node, frontier)
-                for child in node.children:
-                    del lists[child.name]
-            if node.parent_wire is not None:
-                self._apply_wire(node.parent_wire, frontier)
-            self._prune(frontier)
-            if budget is not None:
-                budget.charge(self.generated, self.tree.name, node.name)
-            lists[node.name] = frontier
-        return self._finalize(lists[self.tree.source.name])
-
-    def _run_instrumented(self) -> DPResult:
-        """:meth:`run` with per-phase telemetry (same arithmetic)."""
-        stats = self.stats
-        assert stats is not None
-        budget = self.options.budget
-        lists: Dict[str, _Frontier] = {}
-        for node in self.tree.postorder():
-            record = stats.open_node(node.name)
-            generated_before = self.generated
-            dead_before = self.dead
-            forks_before = self.merge_forks
-            if node.is_sink:
-                frontier = self._sink_base(node)
-            else:
-                start = perf_counter()
-                frontier = self._merge_children(node, lists)
-                stats.add_phase("merge", perf_counter() - start)
-                start = perf_counter()
-                self._insert_buffers(node, frontier)
-                stats.add_phase("buffering", perf_counter() - start)
-                for child in node.children:
-                    del lists[child.name]
-            if node.parent_wire is not None:
-                start = perf_counter()
-                self._apply_wire(node.parent_wire, frontier)
-                stats.add_phase("wire", perf_counter() - start)
-            start = perf_counter()
-            dropped, surviving = self._prune(frontier)
-            stats.add_phase("prune", perf_counter() - start)
-            record.generated = self.generated - generated_before
-            record.dead = self.dead - dead_before
-            record.merge_forks = self.merge_forks - forks_before
-            record.pruned = dropped
-            record.frontier = surviving
-            stats.candidates_pruned += dropped
-            stats.frontier_peak = max(stats.frontier_peak, surviving)
-            if budget is not None:
-                budget.charge(self.generated, self.tree.name, node.name)
-            lists[node.name] = frontier
-        start = perf_counter()
-        result = self._finalize(lists[self.tree.source.name])
-        stats.add_phase("finalize", perf_counter() - start)
-        stats.candidates_generated = self.generated
-        stats.candidates_dead = self.dead
-        stats.merge_forks = self.merge_forks
-        stats.prune_presorted = self.prune_presorted
-        stats.prune_sorts = self.prune_sorts
-        if budget is not None:
-            stats.budget_checks = budget.checks
-            stats.budget_candidate_pressure = budget.candidate_pressure
-            stats.budget_time_pressure = budget.time_pressure
-        return result
 
     # -- phases --------------------------------------------------------------
 
@@ -600,9 +513,17 @@ class LiShiEngine:
                 self.generated += 1
                 hull = hulls.get(key)
                 if hull is not None:
-                    cut = bisect_left(hull, clamp[0], key=_LOAD)
-                    del hull[cut:]
-                    self._hull_insert(hull, clamp)
+                    # Cutting vertices at or beyond the clamp can surface
+                    # candidates they hid under the hull, so the tail
+                    # right of the last kept vertex is rebuilt from the
+                    # group (usually just the clamp itself).
+                    del hull[bisect_left(hull, clamp[0], key=_LOAD):]
+                    tail = (
+                        bisect_right(candidates, hull[-1][0], key=_LOAD)
+                        if hull
+                        else 0
+                    )
+                    self._extend_hull(hull, candidates[tail:])
                 bounds = meta.get(key)
                 if bounds is not None:
                     z = clamp[3] - bounds[1] * clamp[2]
@@ -742,15 +663,15 @@ class LiShiEngine:
     # -- hull maintenance ----------------------------------------------------
 
     @staticmethod
-    def _build_hull(candidates: List[_Cand]) -> List[_Cand]:
-        """Upper concave hull of the stored (C0, q0) points.
+    def _extend_hull(hull: List[_Cand], candidates: List[_Cand]) -> List[_Cand]:
+        """Extend an upper concave hull of stored (C0, q0) points rightward.
 
-        The input is stored-load sorted (not necessarily a frontier —
-        freshly insorted buffered candidates are welcome); dominated
-        points are skipped, so hull slacks strictly increase and hull
-        slopes strictly decrease.
+        ``candidates`` are stored-load sorted and no lighter than the
+        hull's last vertex (not necessarily a frontier — freshly insorted
+        buffered candidates are welcome); dominated points are skipped,
+        so hull slacks strictly increase and hull slopes strictly
+        decrease.  From an empty hull this builds the group's hull.
         """
-        hull: List[_Cand] = []
         for cand in candidates:
             x = cand[0]
             y = cand[1]
@@ -857,7 +778,7 @@ class LiShiEngine:
             key = (polarity, group_count)
             hull = hulls.get(key)
             if hull is None:
-                hull = self._build_hull(candidates)
+                hull = self._extend_hull([], candidates)
                 hulls[key] = hull
             k = 0
             top = len(hull) - 1

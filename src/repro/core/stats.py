@@ -23,6 +23,7 @@ solutions to one without (covered by the differential harness).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Dict, List, Optional
 
 #: engine phase names, in execution order within a node visit.
@@ -122,6 +123,16 @@ class EngineStats:
 
     def add_phase(self, phase: str, seconds: float) -> None:
         self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
+
+    def lap(self, phase: str, start: float) -> float:
+        """Charge the time since ``start`` to ``phase``; return now.
+
+        The engine's visit loop chains laps through a node's phases, so
+        one clock read both ends a phase and starts the next.
+        """
+        now = perf_counter()
+        self.add_phase(phase, now - start)
+        return now
 
     # -- derived views -----------------------------------------------------
 

@@ -1,12 +1,13 @@
-"""Structured observability: tracing, metrics, profiling, trace digestion.
+"""Structured observability: tracing, metrics, trace digestion.
 
 Zero-dependency instrumentation for the whole stack, carrying one hard
-contract: **no overhead when off**.  Every hook is either gated by a
-single ``is None`` check (the DP ``profile=`` hook) or routed through
+contract: **no overhead when off**.  Every hook is routed through
 :data:`~repro.obs.tracing.NULL_TRACER` (batch / resilience / fuzz call
 sites), and instrumentation never changes candidate arithmetic — traced
 runs are bit-identical to untraced ones (pinned by the obs differential
-tests and the bench overhead gate).
+tests and the bench overhead gate).  DP phase timing is not here: the
+engines' one visit loop times its phases inline into
+:class:`~repro.core.stats.EngineStats` when ``collect_stats`` is set.
 
 Layers:
 
@@ -19,8 +20,6 @@ Layers:
 * :mod:`repro.obs.events` — the JSONL :class:`EventSink` (the shared
   :class:`~repro.journal.JournalWriter`: flush per record, torn tails
   tolerated);
-* :mod:`repro.obs.profile` — :class:`PhaseProfiler`, the opt-in wrapper
-  around the DP phase methods of both engines;
 * :mod:`repro.obs.summary` — ``buffopt trace summarize`` digestion.
 
 See ``docs/observability.md`` for the span taxonomy and metric names.
@@ -35,7 +34,6 @@ from .metrics import (
     MetricsRegistry,
     parse_prometheus,
 )
-from .profile import PHASE_METHODS, PhaseProfiler
 from .summary import SpanAggregate, TraceSummary, summarize_trace
 from .tracing import NULL_TRACER, NullTracer, Span, Tracer
 
@@ -48,8 +46,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "PHASE_METHODS",
-    "PhaseProfiler",
     "Span",
     "SpanAggregate",
     "TRACE_VERSION",

@@ -51,9 +51,9 @@ def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Load every record of a JSONL trace, tolerating a torn tail.
 
     A torn *final* line (the writer was killed mid-``write``) is
-    silently dropped; a torn interior line raises
-    :class:`~repro.errors.ObservabilityError` because it means the file
-    was corrupted, not merely interrupted.
+    silently dropped; a torn interior line, or any line that is not a
+    JSON object, raises :class:`~repro.errors.ObservabilityError`
+    because it means the file was corrupted, not merely interrupted.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
@@ -63,11 +63,14 @@ def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError:
             if number == len(lines):
                 break  # torn final line: the writer was killed mid-write
+            record = None
+        if not isinstance(record, dict):
             raise ObservabilityError(
                 f"trace {path} line {number} is corrupt"
-            ) from None
+            )
+        records.append(record)
     return records

@@ -32,16 +32,21 @@ from treegen import random_trees  # noqa: E402
 from repro import (  # noqa: E402
     CouplingModel,
     DPOptions,
+    DriverCell,
+    Objective,
+    TreeBuilder,
     default_buffer_library,
     default_technology,
     run_dp,
 )
 from repro.core import WireSizingSpec  # noqa: E402
 from repro.core.lishi_engine import LiShiEngine  # noqa: E402
+from repro.units import FF, MM, NS, PS, UM  # noqa: E402
 from repro.verify.treegen import seeded_tree  # noqa: E402
 
 LIBRARY = default_buffer_library()
 COUPLING = CouplingModel.estimation_mode(default_technology())
+MAX_SLACK = Objective(mode="delay", selection="max-slack")
 
 default_settings = settings(
     max_examples=25,
@@ -91,6 +96,46 @@ class TestPropertyEquivalence:
         assert_semantic_equivalence(
             tree, LIBRARY, COUPLING,
             sizing=WireSizingSpec(widths=(1.0, 1.6)),
+        )
+
+
+def _hull_cut_net():
+    """A 5-node net whose lone-sink merge clamp cuts a hull vertex.
+
+    At ``i1`` the buffered candidates sit under the hull chord to the
+    unbuffered candidate; merging ``s0`` at ``i0`` clamps that candidate
+    below them, so the optimum (buffers at both ``i1`` and ``i0``) is
+    reachable only if the hull gives the hidden candidates back.
+    """
+    builder = TreeBuilder(default_technology())
+    builder.add_source("so", driver=DriverCell("drv", 30.0, 0.0))
+    builder.add_internal("i0")
+    builder.add_wire("so", "i0", length=3.906 * MM)
+    builder.add_internal("i1")
+    builder.add_wire("i0", "i1", length=1.092 * MM)
+    builder.add_sink("s0", capacitance=1 * FF, noise_margin=0.8,
+                     required_arrival=1 * NS)
+    builder.add_wire("i0", "s0", length=3.196 * MM)
+    builder.add_sink("s1", capacitance=25.24 * FF, noise_margin=0.8,
+                     required_arrival=1 * NS)
+    builder.add_wire("i1", "s1", length=50 * UM)
+    return builder.build("hull_cut")
+
+
+class TestHullMaintenance:
+    def test_merge_clamp_keeps_hidden_candidates_reachable(self):
+        tree = _hull_cut_net()
+        silent = CouplingModel.silent()
+        picks = {}
+        for engine in ("reference", "lishi"):
+            result = run_dp(tree, LIBRARY, silent, DPOptions(engine=engine))
+            best = result.select(MAX_SLACK)
+            picks[engine] = best
+            assert best.buffer_count == 2, engine
+            assert [i.node for i in best.insertions] == ["i1", "i0"], engine
+            assert best.slack == pytest.approx(781.363 * PS, abs=1e-3 * PS)
+        assert picks["lishi"].slack == pytest.approx(
+            picks["reference"].slack, rel=1e-12
         )
 
 

@@ -40,6 +40,18 @@ def test_interior_corruption_raises(tmp_path):
         read_events(path)
 
 
+@pytest.mark.parametrize("line", ["[1]", "3", '"span"', "null"])
+@pytest.mark.parametrize("final", [False, True])
+def test_non_object_line_raises(tmp_path, line, final):
+    path = tmp_path / "trace.jsonl"
+    lines = [json.dumps({"index": 0}), line]
+    if not final:
+        lines.append(json.dumps({"index": 2}))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ObservabilityError, match="line 2 is corrupt"):
+        read_events(path)
+
+
 def test_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "trace.jsonl"
     path.write_text('{"index": 0}\n\n{"index": 1}\n', encoding="utf-8")

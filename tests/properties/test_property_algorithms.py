@@ -18,6 +18,7 @@ from repro import (
     segment_tree,
 )
 from repro.core import max_safe_length, prune_noise_candidates, uniform_wire_noise
+from repro.core.dp import ENGINES
 from repro.core.noise_multi import NoiseCandidate
 from repro.library import single_buffer_library
 from repro.timing import source_slack
@@ -203,14 +204,22 @@ class TestEngineStatsProperties:
            cut=st.floats(min_value=0.4, max_value=1.5),
            noise_aware=st.booleans())
     def test_accounting_invariants(self, tree, cut, noise_aware):
+        # Both engines share one visit loop, so both must keep the books.
+        for engine in ENGINES:
+            self._check_accounting(tree, cut, noise_aware, engine)
+
+    @staticmethod
+    def _check_accounting(tree, cut, noise_aware, engine):
         library = single_buffer_library(BUFFER)
         segmented = segment_tree(tree, cut * MM)
         result = run_dp(
             segmented, library, COUPLING,
-            DPOptions(noise_aware=noise_aware, collect_stats=True),
+            DPOptions(noise_aware=noise_aware, collect_stats=True,
+                      engine=engine),
         )
         stats = result.stats
         assert stats is not None
+        assert stats.engine == engine
         # Pruned (and dead-dropped) candidates were all generated first.
         assert stats.candidates_pruned <= stats.candidates_generated
         assert (stats.candidates_pruned + stats.candidates_dead
@@ -238,16 +247,23 @@ class TestEngineStatsProperties:
     def test_collection_never_changes_results(self, tree, cut):
         library = single_buffer_library(BUFFER)
         segmented = segment_tree(tree, cut * MM)
-        options = DPOptions(noise_aware=True, track_counts=True)
-        plain = run_dp(segmented, library, COUPLING, options)
-        instrumented = run_dp(
-            segmented, library, COUPLING,
-            DPOptions(noise_aware=True, track_counts=True,
-                      collect_stats=True),
-        )
-        assert plain.outcomes == instrumented.outcomes
-        assert plain.candidates_generated == instrumented.candidates_generated
-        assert plain.candidates_kept_peak == instrumented.candidates_kept_peak
+        for engine in ENGINES:
+            options = DPOptions(
+                noise_aware=True, track_counts=True, engine=engine
+            )
+            plain = run_dp(segmented, library, COUPLING, options)
+            instrumented = run_dp(
+                segmented, library, COUPLING,
+                DPOptions(noise_aware=True, track_counts=True,
+                          engine=engine, collect_stats=True),
+            )
+            assert plain.stats is None
+            assert instrumented.stats.engine == engine
+            assert plain.outcomes == instrumented.outcomes
+            assert (plain.candidates_generated
+                    == instrumented.candidates_generated)
+            assert (plain.candidates_kept_peak
+                    == instrumented.candidates_kept_peak)
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,

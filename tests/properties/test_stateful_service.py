@@ -126,14 +126,20 @@ class ServiceJournalMachine(RuleBasedStateMachine):
                 i for i, net in enumerate(NET_POOL) if net["name"] == name
             )
             fingerprint = parse_request(_payload(index)).fingerprint()
-            while self.service._cache.peek(fingerprint) is None:
+            while self._cached(fingerprint) is None:
                 assert time.monotonic() < deadline, (
                     f"recovered job for {name} never finished"
                 )
                 time.sleep(0.01)
-            self.model[name] = self.service._cache.peek(
-                fingerprint
-            )["result"]
+            self.model[name] = self._cached(fingerprint)["result"]
+
+    def _cached(self, fingerprint):
+        # The worker caches and journals a result in one critical
+        # section; a peek outside the service lock can see an answer
+        # whose journal record is not written yet, and the next restart
+        # would then recover one answer fewer than the model holds.
+        with self.service._lock:
+            return self.service._cache.peek(fingerprint)
 
     @rule(torn=st.booleans())
     def crash_and_restart(self, torn):

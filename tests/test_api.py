@@ -104,19 +104,25 @@ def test_session_meters_optimize_calls(y_tree, library, coupling):
 
 def test_session_profile_phases(y_tree, library, coupling):
     with Session(
-        SessionOptions(objective=BUFFOPT, profile_phases=True),
+        SessionOptions(objective=BUFFOPT, collect_stats=True),
         library=library, coupling=coupling,
     ) as session:
         profiled = session.optimize(y_tree)
-    assert profiled.phase_seconds is not None
+        session.optimize(y_tree)
+        histogram = session.metrics.get("buffopt_dp_phase_seconds")
+    assert profiled.phase_seconds == profiled.result.stats.phase_seconds
     assert set(profiled.phase_seconds) == {
-        "merge", "buffering", "wire", "prune"
+        "merge", "buffering", "wire", "prune", "finalize"
     }
-    # profiling never changes the arithmetic
+    # one observation per phase per optimize call
+    for phase in profiled.phase_seconds:
+        assert histogram.count(phase=phase) == 2
+    # phase timing never changes the arithmetic
     with Session(
         SessionOptions(objective=BUFFOPT), library=library, coupling=coupling
     ) as session:
         plain = session.optimize(y_tree)
+        assert session.metrics.get("buffopt_dp_phase_seconds") is None
     assert plain.phase_seconds is None
     assert plain.result.outcomes == profiled.result.outcomes
 
@@ -171,7 +177,7 @@ def test_session_traced_run_is_bit_identical(
         SessionOptions(
             **options,
             trace_path=str(tmp_path / "t.jsonl"),
-            profile_phases=True,
+            collect_stats=True,
         ),
         library=library, coupling=coupling,
     ) as session:

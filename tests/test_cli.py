@@ -81,6 +81,28 @@ def test_trace_summarize_missing_file_is_usage_error(capsys):
     assert "trace unreadable" in err
 
 
+@pytest.mark.parametrize("command", ["fuzz", "serve"])
+def test_bad_objective_is_usage_error(capsys, command):
+    code, _, err = run_cli(capsys, command, "--objective", "nonsense")
+    assert code == EXIT_USAGE
+    assert err == (
+        f"buffopt {command}: bad --objective: objective mode must be one "
+        "of ('buffopt', 'delay'), got 'nonsense'\n"
+    )
+
+
+def test_trace_summarize_non_object_line_is_usage_error(capsys, tmp_path):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(
+        '{"type": "span", "name": "x", "seconds": 0.1}\n[1]\n',
+        encoding="utf-8",
+    )
+    code, _, err = run_cli(capsys, "trace", "summarize", str(trace))
+    assert code == EXIT_USAGE
+    assert err.startswith("trace unreadable: ")
+    assert "line 2 is corrupt" in err
+
+
 # -- tables / export / fix -------------------------------------------------
 
 
