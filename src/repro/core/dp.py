@@ -29,9 +29,10 @@ the candidate arithmetic (tested).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import InfeasibleError
 from ..library.buffers import BufferLibrary, BufferType
@@ -546,6 +547,90 @@ def _presorted_timing_frontier(
     return kept
 
 
+def _power_staircase(rows: List[Tuple[float, float, float, Any]]) -> List[Any]:
+    """The (load, slack, power) frontier of ``(load, slack, power, item)``.
+
+    The 3-D dominance rule of both engines' power-timing prune: an item
+    is dropped when an earlier kept one has load <=, slack >= and
+    power <= (first-seen wins exact ties).  The rows are sorted in
+    place by ``(load, -slack, power)``, so every kept item already has
+    load <= the scanned one and dominance reduces to the 2-D question
+    "does a kept item with power <= p have slack >= s?".  The sweep for
+    3-D maxima (Kung, Luccio and Preparata, J. ACM 1975) answers it
+    from a staircase of the kept (power, slack) pairs that no other
+    kept pair dominates — power and slack both strictly rising — with
+    one bisect: the best slack at power <= p sits on the last step at
+    or below p.  A kept item replaces, in one slice assignment, the
+    steps it dominates: an equal-power step just below it and the
+    steps above it whose slack is <= its own.  Dominance is transitive
+    and every removed step is dominated by the new one, so the
+    staircase answers exactly as a scan of every kept item would, in
+    O(n log n) comparisons instead of O(n*k).
+    """
+    rows.sort(key=lambda row: (row[0], -row[1], row[2]))
+    powers: List[float] = []
+    slacks: List[float] = []
+    kept: List[Any] = []
+    for _, slack, power, item in rows:
+        step = bisect_right(powers, power)
+        if step and slacks[step - 1] >= slack:
+            continue
+        low = step - 1 if step and powers[step - 1] == power else step
+        high = bisect_right(slacks, slack, step)
+        powers[low:high] = (power,)
+        slacks[low:high] = (slack,)
+        kept.append(item)
+    return kept
+
+
+def _power_donors(
+    by_power: Sequence[int],
+    powers: Sequence[float],
+    slacks: Sequence[float],
+    loads: Sequence[float],
+    limits: Optional[Sequence[float]],
+    resistance: float,
+) -> List[Tuple[float, int]]:
+    """``(drive slack, index)`` of each (drive-slack, power)-Pareto donor.
+
+    The power-active buffering step of both engines: with power as a
+    frontier axis the scalar argmax of ``slack - R * load`` would drop
+    donors that trade slack for power, so every donor whose drive slack
+    beats all donors of lower power buffers a candidate.  ``by_power``
+    is the group's indices stable-sorted by power once, shared by every
+    buffer type.  Within a run of equal power only the largest drive
+    slack can win (the lowest index on exact ties), and it is emitted
+    when it beats every lower-power run — the same donors, in the same
+    order, as sorting the feasible entries by ``(power, -drive slack)``
+    per buffer.  ``limits`` (noise-aware runs) skips the candidates the
+    buffer could not drive noise-clean (Step 5).
+    """
+    donors: List[Tuple[float, int]] = []
+    best_seen = -math.inf
+    run_power = run_slack = 0.0
+    run_index = -1
+    for index in by_power:
+        if limits is not None and resistance > limits[index]:
+            continue  # Step 5: never create a noisy candidate.
+        drive_slack = slacks[index] - resistance * loads[index]
+        power = powers[index]
+        if run_index >= 0:
+            if power == run_power:
+                if drive_slack > run_slack:
+                    run_slack = drive_slack
+                    run_index = index
+                continue
+            if run_slack > best_seen:
+                donors.append((run_slack, run_index))
+                best_seen = run_slack
+        run_power = power
+        run_slack = drive_slack
+        run_index = index
+    if run_index >= 0 and run_slack > best_seen:
+        donors.append((run_slack, run_index))
+    return donors
+
+
 class _EngineBase:
     """Construction, counters and the one bottom-up visit loop.
 
@@ -867,11 +952,13 @@ class _Engine(_EngineBase):
             else:
                 limits = None
             counts = None if track else [c.count for c in candidates]
-            powers = (
-                [c.power for c in candidates]
-                if power_model is not None
-                else None
-            )
+            if power_model is not None:
+                powers = [c.power for c in candidates]
+                by_power = sorted(
+                    range(len(candidates)), key=powers.__getitem__
+                )
+            else:
+                powers = None
             for buffer in self.library:
                 resistance = buffer.resistance
                 if powers is None:
@@ -892,26 +979,11 @@ class _Engine(_EngineBase):
                     # Power-active: the scalar argmax would discard donors
                     # that trade slack for power, so keep one buffered
                     # candidate per (drive-slack, power)-Pareto donor.
-                    entries = []
-                    for index in range(len(candidates)):
-                        if limits is not None and resistance > limits[index]:
-                            continue
-                        entries.append(
-                            (
-                                slacks[index] - resistance * loads[index],
-                                powers[index],
-                                index,
-                            )
-                        )
-                    if not entries:
+                    donors = _power_donors(
+                        by_power, powers, slacks, loads, limits, resistance
+                    )
+                    if not donors:
                         continue
-                    entries.sort(key=lambda entry: (entry[1], -entry[0]))
-                    donors = []
-                    best_seen = -inf
-                    for drive_slack, _, index in entries:
-                        if drive_slack > best_seen:
-                            donors.append((drive_slack, index))
-                            best_seen = drive_slack
                     buffer_power = power_model.buffer_power(buffer)
                 new_pol = (
                     polarity ^ (1 if buffer.inverting else 0)
@@ -1080,25 +1152,15 @@ class _Engine(_EngineBase):
     ) -> List[DPCandidate]:
         """(load, slack, power) dominance — the timing rule's power axis.
 
-        Sorted by load ascending, every kept candidate already has load
-        <= the scanned one, so dominance reduces to finding a kept
-        candidate with slack >= and power <= (first-seen wins exact
-        ties).  The kept list is scanned linearly: power frontiers stay
-        small enough that this beats fancier structures, mirroring the
-        pareto ablation's shape.
+        A candidate is dropped when another has load <=, slack >= and
+        power <= (first-seen wins exact ties).  Power frontiers reach
+        thousands of candidates, so :func:`_power_staircase` answers
+        each dominance query with one bisect instead of a scan of the
+        kept list: O(n log n) per group.
         """
-        ordered = sorted(
-            candidates, key=lambda c: (c.load, -c.slack, c.power)
+        return _power_staircase(
+            [(c.load, c.slack, c.power, c) for c in candidates]
         )
-        kept: List[DPCandidate] = []
-        for cand in ordered:
-            dominated = any(
-                other.slack >= cand.slack and other.power <= cand.power
-                for other in kept
-            )
-            if not dominated:
-                kept.append(cand)
-        return kept
 
     @staticmethod
     def _prune_pareto_power(

@@ -35,8 +35,9 @@ and ``docs/algorithms.md`` §8):
   ``P0 + dpw``.  Power also disables the eager-eviction/lone-merge/hull
   machinery below — with power as a third frontier axis a
   (load, slack)-dominated candidate may still be Pareto-optimal — so
-  power runs use cross-product merges, donor-frontier buffering, and a
-  materializing 3D prune instead.
+  power runs use cross-product merges, donor-frontier buffering (one
+  power sort per group, one walk per buffer type) and a 3D prune that
+  sweeps a (power, slack) staircase in O(n log n) instead.
 
 * **single-sink merges in O(log F)** — merging a frontier with a
   one-candidate chainless group (every sink merge on a trunk topology)
@@ -98,7 +99,15 @@ from ..library.buffers import BufferLibrary
 from ..library.cells import DriverCell
 from ..noise.coupling import CouplingModel
 from ..tree.topology import Node, RoutingTree, Wire
-from .dp import DPOptions, DPOutcome, DPResult, Insertion, _EngineBase
+from .dp import (
+    DPOptions,
+    DPOutcome,
+    DPResult,
+    Insertion,
+    _EngineBase,
+    _power_donors,
+    _power_staircase,
+)
 from .wire_sizing import WireChoice
 
 # A candidate is (load, slack, current, noise_slack, chain, wire_chain,
@@ -881,6 +890,9 @@ class LiShiEngine(_EngineBase):
                 else None
             )
             indices = range(len(candidates))
+            if power_model is not None:
+                powers = [c[6] for c in candidates]
+                by_power = sorted(indices, key=powers.__getitem__)
             for row in self._buffers:
                 buffer, resistance, in_cap, intrinsic, noise_margin, inv = row
                 if power_model is None:
@@ -911,26 +923,11 @@ class LiShiEngine(_EngineBase):
                     # discard donors that trade slack for power.  The
                     # shared dpw offset cancels across donors, so the
                     # stored power slot ranks them directly.
-                    entries = []
-                    for idx in indices:
-                        if limits is not None and limits[idx] < resistance:
-                            continue
-                        entries.append(
-                            (
-                                slacks[idx] - resistance * loads[idx],
-                                candidates[idx][6],
-                                idx,
-                            )
-                        )
-                    if not entries:
+                    donors = _power_donors(
+                        by_power, powers, slacks, loads, limits, resistance
+                    )
+                    if not donors:
                         continue
-                    entries.sort(key=lambda entry: (entry[1], -entry[0]))
-                    donors = []
-                    best_seen = -_INF
-                    for drive_slack, _, idx in entries:
-                        if drive_slack > best_seen:
-                            donors.append((drive_slack, idx))
-                            best_seen = drive_slack
                     buffer_power = power_model.buffer_power(buffer)
                 new_pol = (polarity ^ inv) if enforce else 0
                 for best_slack, best_idx in donors:
@@ -1214,10 +1211,12 @@ class LiShiEngine(_EngineBase):
         """(load, slack, power) dominance under the offset frame.
 
         Uniform offsets cancel in comparisons (``dq`` for slack, ``dc``
-        for load, ``dpw`` for power), so the scan ranks by ``q0 − r·C0``
-        and stored power directly; only the noise dead-check needs the
-        absolute noise slack.  Mirrors the reference engine's
-        ``_power_timing_frontier`` (first-seen wins exact ties).
+        for load, ``dpw`` for power), so rows rank by stored load,
+        ``q0 − r·C0`` and stored power directly; only the noise
+        dead-check needs the absolute noise slack.  The live rows go
+        through the reference engine's O(n log n) staircase sweep
+        (:func:`~repro.core.dp._power_staircase`, first-seen wins exact
+        ties), so both engines apply one 3-D dominance rule.
         """
         r = frontier.r
         dns = frontier.dns
@@ -1230,19 +1229,7 @@ class LiShiEngine(_EngineBase):
                 continue
             rows.append((cand[0], cand[1] - r * cand[0], cand[6], cand))
         self.dead += dead
-        rows.sort(key=lambda row: (row[0], -row[1], row[2]))
-        kept_rows: List[tuple] = []
-        kept: List[_Cand] = []
-        for row in rows:
-            q = row[1]
-            power = row[2]
-            for other in kept_rows:
-                if other[1] >= q and other[2] <= power:
-                    break
-            else:
-                kept_rows.append(row)
-                kept.append(row[3])
-        return kept
+        return _power_staircase(rows)
 
     def _prune_pareto_power(
         self, candidates: List[_Cand], frontier: _Frontier
